@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,11 +36,14 @@ namespace cloudmap::bench {
 //
 // Every bench emits a canonical trajectory file next to its metrics
 // artifact: a machine-diffable record of what the run measured (iterations,
-// ns/op, thread count) plus the deterministic per-stage counters — and
-// nothing wall-clock-derived beyond the ns/op measurements themselves (no
-// timestamps, host info, or timer totals), so two files from the same code
-// differ only in the timings under comparison. tools/bench_compare.py diffs
-// two trajectories and flags per-core regressions; the committed BENCH_*.json
+// ns/op, thread count) plus the deterministic per-stage counters and the
+// host's CPU count — and nothing wall-clock-derived beyond the ns/op
+// measurements themselves (no timestamps or timer totals), so two files
+// from the same code on the same host differ only in the timings under
+// comparison. `host_cpus` says which host a baseline came from: a 4-thread
+// row measured on a 1-CPU host is not a scaling result.
+// tools/bench_compare.py diffs two trajectories, flags per-core
+// regressions, and reports a host_cpus mismatch; the committed BENCH_*.json
 // files at the repo root are the current baselines (regenerate with the
 // `bench-baselines` CMake target).
 //
@@ -128,6 +132,7 @@ inline void write_trajectory(const std::string& slug,
   out << "  \"schema\": \"cloudmap-bench-trajectory-v1\",\n";
   out << "  \"bench\": \"" << detail::json_escape(slug) << "\",\n";
   out << "  \"threads\": " << threads << ",\n";
+  out << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n";
   if (world != nullptr) {
     out << "  \"world\": {\"seed\": " << kBenchSeed
         << ", \"ases\": " << world->ases.size()

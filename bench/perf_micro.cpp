@@ -13,6 +13,7 @@
 #include "core/pipeline.h"
 #include "dataplane/traceroute.h"
 #include "query/engine.h"
+#include "query/fabric_index.h"
 #include "topology/generator.h"
 #include "util/rng.h"
 
@@ -159,7 +160,7 @@ void BM_QuerySaturation(benchmark::State& state) {
   static MetricsRegistry* registry = new MetricsRegistry(true);
   static const QueryEngine* engine = new QueryEngine(*index, registry);
 
-  const std::vector<std::uint32_t>& peers = index->peer_asns();
+  const Span32 peers = index->asn_list();
   // Disjoint per-thread query streams: the thread index is expanded through
   // splitmix64 before seeding, so no two reader threads replay the same
   // index sequence (an xor of the raw index only perturbs low seed bits,
@@ -167,29 +168,31 @@ void BM_QuerySaturation(benchmark::State& state) {
   std::uint64_t seed_state =
       0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(state.thread_index());
   Rng rng(splitmix64(seed_state));
+  QueryRequest request;
   for (auto _ : state) {
     const std::uint64_t roll = rng.next();
+    request = {};
     switch (roll & 7u) {
       case 0:
-        benchmark::DoNotOptimize(engine->counts());
+        request.kind = QueryKind::kCounts;
         break;
       case 1:
-        if (!peers.empty())
-          benchmark::DoNotOptimize(
-              engine->peers_of(Asn{peers[roll % peers.size()]}));
+        request.kind = QueryKind::kPeersOf;
+        if (!peers.empty()) request.asn = peers[roll % peers.size()];
         break;
       case 2:
-        benchmark::DoNotOptimize(engine->vpi_candidates());
+        request.kind = QueryKind::kVpiCandidates;
         break;
       case 3:
-        benchmark::DoNotOptimize(
-            engine->interfaces_in(static_cast<std::uint32_t>(roll >> 8) % 64));
+        request.kind = QueryKind::kInterfacesIn;
+        request.metro = static_cast<std::uint32_t>(roll >> 8) % 64;
         break;
       default:
-        benchmark::DoNotOptimize(
-            engine->lookup(Ipv4(static_cast<std::uint32_t>(roll >> 16))));
+        request.kind = QueryKind::kLookup;
+        request.address = static_cast<std::uint32_t>(roll >> 16);
         break;
     }
+    benchmark::DoNotOptimize(engine->execute(request));
   }
   // Each thread processed exactly its own iteration count — the framework
   // sums per-thread items, so counting anything shared here double-reports.

@@ -599,14 +599,12 @@ int cmd_query(const std::vector<std::string>& args,
     return 2;
   }
   std::string error;
-  std::optional<RunSnapshot> snap = load_snapshot_file(args[1], &error);
+  const std::optional<RunSnapshot> snap = load_snapshot_file(args[1], &error);
   if (!snap) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const FabricIndex index(std::move(*snap));
   MetricsRegistry registry(front.pipeline.metrics);
-  const QueryEngine engine(index, &registry);
   const std::string& action = args[2];
 
   if (action == "resave") {
@@ -614,12 +612,14 @@ int cmd_query(const std::vector<std::string>& args,
       std::fprintf(stderr, "query resave requires an output path\n");
       return 2;
     }
-    if (!save_snapshot_file(args[3], index.snapshot(), &error)) {
+    if (!save_snapshot_file(args[3], *snap, &error)) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
     std::printf("resaved %s -> %s\n", args[1].c_str(), args[3].c_str());
   } else {
+    const FabricIndex index(*snap);
+    const QueryEngine engine(index, &registry);
     const QueryExec local = [&engine](const QueryRequest& request,
                                       QueryResponse& response,
                                       std::string*) {
@@ -639,13 +639,13 @@ int cmd_query(const std::vector<std::string>& args,
     // The stage section replays the producing run's reports (stored in the
     // snapshot); the counters section carries this process's query.* totals.
     MetricsMeta meta;
-    meta.seed = index.snapshot().seed;
-    meta.threads = index.snapshot().threads;
+    meta.seed = snap->seed;
+    meta.threads = snap->threads;
     meta.subject =
-        index.snapshot().subject < kCloudProviderCount
-            ? to_string(static_cast<CloudProvider>(index.snapshot().subject))
+        snap->subject < kCloudProviderCount
+            ? to_string(static_cast<CloudProvider>(snap->subject))
             : "unknown";
-    write_metrics_json(out, meta, index.snapshot().stage_reports, registry);
+    write_metrics_json(out, meta, snap->stage_reports, registry);
     std::printf("metrics: wrote %s\n", front.metrics_json.c_str());
   }
   return 0;

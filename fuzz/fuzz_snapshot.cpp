@@ -1,10 +1,13 @@
 // Fuzz the snapshot container end to end: the copying loader across
 // format versions 1–3, the save→load→save byte-stability contract on
-// anything it accepts, and the zero-copy MappedSnapshot → FabricView →
-// QueryEngine derivation over the same bytes. Any crash, sanitizer report,
-// or broken invariant (accepted input that does not re-save stably; mapper
-// accepting what the loader refused) aborts.
+// anything it accepts, the FabricIndex → QueryEngine path the CLI takes for
+// every loaded snapshot, and the zero-copy MappedSnapshot → FabricView →
+// QueryEngine path over the same bytes. Any crash, sanitizer report, or
+// broken invariant (accepted input that does not re-save stably; accepted
+// input whose in-memory blob fails validation; mapper accepting what the
+// loader refused) aborts.
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -14,8 +17,30 @@
 #include "io/mapped_snapshot.h"
 #include "io/snapshot.h"
 #include "query/engine.h"
+#include "query/fabric_index.h"
 #include "query/fabric_view.h"
 #include "query/request.h"
+
+namespace {
+
+// Every QueryKind once, with parameters that reach the filter and brief
+// paths.
+void run_every_kind(const cloudmap::FabricBackend& backend) {
+  using namespace cloudmap;
+  const QueryEngine engine(backend);
+  QueryRequest request;
+  request.asn = 64512;
+  request.metro = 0;
+  request.address = 0xCB007109u;  // 203.0.113.9
+  request.min_confidence = 0.5;
+  request.want_briefs = true;
+  for (std::uint8_t kind = 0; kind < kQueryKindCount; ++kind) {
+    request.kind = static_cast<QueryKind>(kind);
+    (void)engine.execute(request);
+  }
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -37,6 +62,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::ostringstream second;
     save_snapshot(second, *reloaded);
     if (first.str() != second.str()) __builtin_trap();
+    try {
+      run_every_kind(FabricIndex(*snap));
+    } catch (const std::exception&) {
+      __builtin_trap();  // the loader accepted what the blob validator refuses
+    }
   }
 
   // The zero-copy path over the same bytes. v1/v2 files are refused here
@@ -48,18 +78,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                                               &error);
   if (mapped) {
     if (!snap) __builtin_trap();
-    FabricView view(mapped->blob());
-    QueryEngine engine(view);
-    QueryRequest request;
-    request.asn = 64512;
-    request.metro = 0;
-    request.address = 0xCB007109u;  // 203.0.113.9
-    request.min_confidence = 0.5;
-    request.want_briefs = true;
-    for (std::uint8_t kind = 0; kind < kQueryKindCount; ++kind) {
-      request.kind = static_cast<QueryKind>(kind);
-      (void)engine.execute(request);
-    }
+    run_every_kind(FabricView(mapped->blob()));
   }
   return 0;
 }

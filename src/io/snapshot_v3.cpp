@@ -20,9 +20,9 @@ constexpr std::uint64_t align8(std::uint64_t n) {
 //
 // The blob is assembled as typed arrays first, then serialized field by
 // field through wire::put_* so the bytes are little-endian on any host.
-// Every derived index replicates the FabricIndex constructor: canonical
-// (abi, cbi) segment order drives per-key lists (ascending, deduplicated),
-// keys are collected and sorted, and the LPM rows accumulate roles.
+// Canonical (abi, cbi) segment order drives the per-key lists (ascending,
+// deduplicated), keys are collected and sorted, and the LPM rows
+// accumulate roles.
 
 void emit_span(std::string& out, const V3Span& s) {
   wire::put_u32(out, s.off);
@@ -269,29 +269,37 @@ std::string encode_flat_fabric(const RunSnapshot& canonical) {
   }
 
   // LPM rows: /32 interface entries (roles accumulate across segments) and
-  // /24 destination cones, grouped by length, sorted by network.
-  struct TrieRow {
-    std::uint8_t plen;
-    std::uint32_t network;
-    std::uint8_t flags;
-    std::uint32_t segment;
-  };
-  std::vector<TrieRow> rows;
-  rows.reserve(std::size_t{seg_count} * 3);
-  for (std::uint32_t i = 0; i < seg_count; ++i) {
-    const SnapshotSegment& seg = s.segments[i];
-    rows.push_back(TrieRow{32, seg.abi.value(), 1 | 2, i});
-    rows.push_back(TrieRow{32, seg.cbi.value(), 1 | 4, i});
-    for (const std::uint32_t network : seg.dest_slash24s)
-      rows.push_back(TrieRow{24, network & 0xFFFFFF00u, 0, i});
-  }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const TrieRow& a, const TrieRow& b) {
-                     if (a.plen != b.plen) return a.plen < b.plen;
-                     return a.network < b.network;
-                   });
+  // /24 destination cones, grouped by length, sorted by network. Sorting on
+  // (plen, network, segment) leaves each group's segment list ascending,
+  // and a group's flags are OR-ed, so rows tied on all three need no order.
+  // The rows are the encoder's largest temporary: reserved exactly, sorted
+  // in place, and freed before the blob is written.
   std::vector<V3TrieEntry> trie;
   {
+    struct TrieRow {
+      std::uint32_t network;
+      std::uint32_t segment;
+      std::uint8_t plen;
+      std::uint8_t flags;
+    };
+    std::size_t row_count = std::size_t{seg_count} * 2;
+    for (const SnapshotSegment& seg : s.segments)
+      row_count += seg.dest_slash24s.size();
+    std::vector<TrieRow> rows;
+    rows.reserve(row_count);
+    for (std::uint32_t i = 0; i < seg_count; ++i) {
+      const SnapshotSegment& seg = s.segments[i];
+      rows.push_back(TrieRow{seg.abi.value(), i, 32, 1 | 2});
+      rows.push_back(TrieRow{seg.cbi.value(), i, 32, 1 | 4});
+      for (const std::uint32_t network : seg.dest_slash24s)
+        rows.push_back(TrieRow{network & 0xFFFFFF00u, i, 24, 0});
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const TrieRow& a, const TrieRow& b) {
+                if (a.plen != b.plen) return a.plen < b.plen;
+                if (a.network != b.network) return a.network < b.network;
+                return a.segment < b.segment;
+              });
     std::size_t i = 0;
     std::vector<std::uint32_t> members;
     while (i < rows.size()) {

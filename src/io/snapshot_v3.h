@@ -26,11 +26,12 @@
 //   u32[]                the shared index pool every span points into
 //   char[]               string table (tally names), byte offsets
 //
-// The index arrays are *derived* data: the encoder recomputes them from the
-// canonical segment order with exactly the semantics of the FabricIndex
-// constructor, so a v3 file re-saves byte-identically after a load and a
-// FabricView answers every query bit-identically to a FabricIndex built
-// from the same snapshot (both are enforced by tests).
+// The index arrays are *derived* data, and encode_flat_fabric() is the only
+// code that derives them: by-peer and by-metro lists, the confidence order
+// and the LPM rows all come from the canonical segment order, so a v3 file
+// re-saves byte-identically after a load. Snapshots without a mappable blob
+// (v1/v2 files, in-process runs) are encoded in memory by FabricIndex
+// (query/fabric_index.h), so every backend serves these same arrays.
 //
 // The layout is little-endian by definition; validate_flat_fabric() rejects
 // the zero-copy path on a big-endian host (the copying loader in
@@ -126,9 +127,9 @@ struct V3Pair {  // regional fallback entry
 };
 static_assert(sizeof(V3Pair) == 8);
 
-// One LPM row. `flags` packs is_interface|abi|cbi as bits 0|1|2; the
-// segment list is ascending and deduplicated, exactly as the FabricIndex
-// trie stores it.
+// One LPM row: a /32 interface (roles accumulate across segments) or a /24
+// destination cone. `flags` packs is_interface|abi|cbi as bits 0|1|2; the
+// segment list is ascending and deduplicated.
 struct V3TrieEntry {
   std::uint32_t network = 0;  // masked to the group's prefix length
   std::uint8_t flags = 0;

@@ -1,10 +1,8 @@
 // FabricBackend: the narrow read interface the query engine dispatches
-// against, with two interchangeable implementations — FabricIndex
-// (query/fabric_index.h), which owns a decoded RunSnapshot and materialized
-// indexes, and FabricView (query/fabric_view.h), which serves the same
-// answers zero-copy out of an mmapped format-v3 blob. Both return segment
-// indices in the same canonical order, so every query answers
-// bit-identically regardless of backing (enforced by tests).
+// against. Its implementation is FabricView (query/fabric_view.h), over a
+// format-v3 flat fabric blob that is either mmapped from a v3 file
+// (io/mapped_snapshot.h) or encoded in memory by a FabricIndex
+// (query/fabric_index.h) — so both paths answer from the same index arrays.
 //
 // Results are handed out as Span32 views into backend-owned storage: valid
 // for the lifetime of the backend, never null (empty spans have size 0).
@@ -34,9 +32,8 @@ struct Span32 {
   std::uint32_t operator[](std::size_t i) const { return values[i]; }
 };
 
-// The per-segment fields the engine aggregates and reports. A plain struct
-// (not a reference into backing storage) so the flat and decoded layouts
-// can both produce it without conversion cost on the caller's side.
+// The per-segment fields the engine aggregates and reports, as a plain
+// struct rather than a reference into the blob's packed records.
 struct SegmentFacts {
   std::uint32_t abi = 0;       // host-order interface addresses
   std::uint32_t cbi = 0;

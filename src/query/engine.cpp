@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <unordered_set>
-#include <utility>
+
+#include "query/snapshot.h"
 
 namespace cloudmap {
 
@@ -31,11 +32,6 @@ SegmentBrief brief_of(const FabricBackend& backend, std::uint32_t index) {
 }
 
 }  // namespace
-
-QueryEngine::QueryEngine(const FabricIndex& index, MetricsRegistry* metrics)
-    : QueryEngine(static_cast<const FabricBackend&>(index), metrics) {
-  index_ = &index;
-}
 
 QueryEngine::QueryEngine(const FabricBackend& backend,
                          MetricsRegistry* metrics)
@@ -169,54 +165,6 @@ QueryResponse QueryEngine::execute(const QueryRequest& request) const {
         out.briefs.push_back(brief_of(*backend_, i));
   }
   return out;
-}
-
-std::vector<std::uint32_t> QueryEngine::peers_of(Asn peer) const {
-  QueryRequest request;
-  request.kind = QueryKind::kPeersOf;
-  request.asn = peer.value;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::interfaces_in(
-    std::uint32_t metro) const {
-  QueryRequest request;
-  request.kind = QueryKind::kInterfacesIn;
-  request.metro = metro;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::vpi_candidates() const {
-  QueryRequest request;
-  request.kind = QueryKind::kVpiCandidates;
-  return std::move(execute(request).items);
-}
-
-std::vector<std::uint32_t> QueryEngine::segments_min_confidence(
-    double min_confidence) const {
-  QueryRequest request;
-  request.kind = QueryKind::kMinConfidence;
-  request.min_confidence = min_confidence;
-  return std::move(execute(request).items);
-}
-
-FabricCounts QueryEngine::counts() const {
-  QueryRequest request;
-  request.kind = QueryKind::kCounts;
-  return *execute(request).counts;
-}
-
-const ConfidenceHistogram& QueryEngine::confidence_histogram() const {
-  if (MetricsRegistry::Counter* c = counter(QueryKind::kConfidenceHistogram);
-      c != nullptr)
-    c->add();
-  return backend_->histogram();
-}
-
-std::optional<LookupHit> QueryEngine::lookup(Ipv4 address) const {
-  if (MetricsRegistry::Counter* c = counter(QueryKind::kLookup); c != nullptr)
-    c->add();
-  return index_->lookup(address);
 }
 
 }  // namespace cloudmap

@@ -2,8 +2,8 @@
 // dispatcher — execute(QueryRequest) — answers every query class, so the
 // metrics counters, min-confidence filtering, brief expansion, and error
 // reporting live in a single place; the CLI, the serve daemon's wire
-// protocol (serve/protocol.h), and the tests all go through it. All query
-// methods are const, allocate only their result, and touch nothing but the
+// protocol (serve/protocol.h), and the tests all go through it. execute()
+// is const, allocates only its result, and touches nothing but the
 // immutable backend plus (optionally) relaxed-atomic metrics counters — so
 // any number of threads may share one engine with zero locking after build,
 // and answers are bit-identical at every reader thread count.
@@ -16,12 +16,10 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "obs/metrics.h"
-#include "query/fabric_index.h"
+#include "query/backend.h"
 #include "query/request.h"
 
 namespace cloudmap {
@@ -30,12 +28,6 @@ class QueryEngine {
  public:
   // `metrics` may be null or disabled; counter handles are resolved once
   // here so the hot path is a relaxed atomic add, never a name lookup.
-  //
-  // The FabricIndex overload additionally enables the deprecated
-  // index()/lookup() accessors below; a generic backend (e.g. a zero-copy
-  // FabricView) serves every QueryRequest but has no FabricIndex to expose.
-  explicit QueryEngine(const FabricIndex& index,
-                       MetricsRegistry* metrics = nullptr);
   explicit QueryEngine(const FabricBackend& backend,
                        MetricsRegistry* metrics = nullptr);
 
@@ -46,36 +38,12 @@ class QueryEngine {
 
   const FabricBackend& backend() const noexcept { return *backend_; }
 
-  // --- deprecated entry points ---------------------------------------------
-  // Thin shims over execute(), kept for one release so existing callers
-  // migrate incrementally; new code should build a QueryRequest instead.
-
-  // Deprecated: execute({.kind = QueryKind::kPeersOf, .asn = ...}).
-  std::vector<std::uint32_t> peers_of(Asn peer) const;
-  // Deprecated: execute({.kind = QueryKind::kInterfacesIn, .metro = ...}).
-  std::vector<std::uint32_t> interfaces_in(std::uint32_t metro) const;
-  // Deprecated: execute({.kind = QueryKind::kVpiCandidates}).
-  std::vector<std::uint32_t> vpi_candidates() const;
-  // Deprecated: execute({.kind = QueryKind::kMinConfidence, ...}).
-  std::vector<std::uint32_t> segments_min_confidence(
-      double min_confidence) const;
-  // Deprecated: execute({.kind = QueryKind::kCounts}).
-  FabricCounts counts() const;
-  // Deprecated: execute({.kind = QueryKind::kConfidenceHistogram}).
-  const ConfidenceHistogram& confidence_histogram() const;
-  // Deprecated: execute({.kind = QueryKind::kLookup, .address = ...}).
-  // Requires FabricIndex backing (the hit points into the index's trie).
-  std::optional<LookupHit> lookup(Ipv4 address) const;
-  // Requires FabricIndex backing.
-  const FabricIndex& index() const noexcept { return *index_; }
-
  private:
   MetricsRegistry::Counter* counter(QueryKind kind) const {
     return counters_[static_cast<std::size_t>(kind)];
   }
 
   const FabricBackend* backend_;
-  const FabricIndex* index_ = nullptr;  // non-null only for the index ctor
   std::array<MetricsRegistry::Counter*, kQueryKindCount> counters_{};
 };
 

@@ -1,200 +1,33 @@
 #include "query/fabric_index.h"
 
-#include <algorithm>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "io/snapshot_v3.h"
 
 namespace cloudmap {
 
-namespace {
+namespace detail {
 
-// Segments are canonicalized (sorted by (abi, cbi)) and visited in order, so
-// per-key index vectors come out ascending without a second sort; dedup is
-// still needed where one segment contributes the same key twice.
-void push_unique(std::vector<std::uint32_t>& into, std::uint32_t value) {
-  if (into.empty() || into.back() != value) into.push_back(value);
+FlatFabricBuffer::FlatFabricBuffer(RunSnapshot snapshot) {
+  canonicalize(snapshot);
+  const std::string blob = snapv3::encode_flat_fabric(snapshot);
+  snapshot = RunSnapshot();  // release it before the aligned copy
+  words.resize((blob.size() + 7) / 8);
+  std::memcpy(words.data(), blob.data(), blob.size());
+  std::string error;
+  if (!snapv3::validate_flat_fabric(
+          reinterpret_cast<const unsigned char*>(words.data()), blob.size(),
+          &error))
+    throw std::runtime_error("FabricIndex: " + error);
 }
 
-}  // namespace
+}  // namespace detail
 
 FabricIndex::FabricIndex(RunSnapshot snapshot)
-    : snapshot_(std::move(snapshot)) {
-  canonicalize(snapshot_);  // hand-built snapshots may arrive unsorted
-
-  for (std::uint32_t i = 0;
-       i < static_cast<std::uint32_t>(snapshot_.segments.size()); ++i) {
-    const SnapshotSegment& seg = snapshot_.segments[i];
-    if (!seg.peer_asn.is_unknown())
-      by_peer_[seg.peer_asn.value].push_back(i);
-    if (!seg.peer_org.is_unknown()) by_org_[seg.peer_org.value].push_back(i);
-    by_confirmation_[static_cast<std::size_t>(seg.confirmation)].push_back(i);
-    if (seg.ixp) ixp_segments_.push_back(i);
-    if (seg.vpi) vpi_segments_.push_back(i);
-
-    // Interface entries (/32). An address may be the ABI of one segment and
-    // the CBI of another (§5.2 relabels); roles accumulate.
-    TrieEntry& abi_entry = trie_.at_or_default(Prefix(seg.abi, 32));
-    abi_entry.is_interface = true;
-    abi_entry.abi = true;
-    push_unique(abi_entry.segments, i);
-    TrieEntry& cbi_entry = trie_.at_or_default(Prefix(seg.cbi, 32));
-    cbi_entry.is_interface = true;
-    cbi_entry.cbi = true;
-    push_unique(cbi_entry.segments, i);
-    // Destination cones (/24): the networks reached through this segment.
-    for (const std::uint32_t network : seg.dest_slash24s) {
-      TrieEntry& dest = trie_.at_or_default(Prefix(Ipv4(network), 24));
-      push_unique(dest.segments, i);
-    }
-  }
-
-  // lint: sorted-ok(keys are collected then sorted on the next line)
-  for (const auto& [asn, indices] : by_peer_) peer_asns_.push_back(asn);
-  std::sort(peer_asns_.begin(), peer_asns_.end());
-
-  for (std::size_t p = 0; p < snapshot_.pins.size(); ++p) {
-    const SnapshotPin& pin = snapshot_.pins[p];
-    pin_by_address_[pin.address] = p;
-    by_metro_[pin.metro].push_back(pin.address);  // pins sorted by address
-  }
-  // lint: sorted-ok(keys are collected then sorted on the line after the loop)
-  for (const auto& [metro, addresses] : by_metro_)
-    pinned_metros_.push_back(metro);
-  std::sort(pinned_metros_.begin(), pinned_metros_.end());
-  for (const auto& [address, region] : snapshot_.regional)
-    region_by_address_[address] = region;
-
-  for (std::size_t s = 0; s < snapshot_.alias_sets.size(); ++s)
-    for (const std::uint32_t member : snapshot_.alias_sets[s])
-      alias_set_by_address_[member] = s;
-
-  // Confidence views: a descending (confidence, index) list for
-  // min-confidence scans, and the precomputed histogram.
-  by_confidence_.reserve(snapshot_.segments.size());
-  for (std::uint32_t i = 0;
-       i < static_cast<std::uint32_t>(snapshot_.segments.size()); ++i)
-    by_confidence_.emplace_back(snapshot_.segments[i].confidence, i);
-  std::sort(by_confidence_.begin(), by_confidence_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  confidence_histogram_.segments = snapshot_.segments.size();
-  if (!snapshot_.segments.empty()) {
-    double sum = 0.0;
-    confidence_histogram_.min = snapshot_.segments.front().confidence;
-    confidence_histogram_.max = confidence_histogram_.min;
-    for (const SnapshotSegment& seg : snapshot_.segments) {
-      const double score = seg.confidence;
-      sum += score;
-      confidence_histogram_.min = std::min(confidence_histogram_.min, score);
-      confidence_histogram_.max = std::max(confidence_histogram_.max, score);
-      auto bin = static_cast<std::size_t>(score * 10.0);
-      if (bin >= confidence_histogram_.bins.size())
-        bin = confidence_histogram_.bins.size() - 1;  // score == 1.0
-      ++confidence_histogram_.bins[bin];
-    }
-    confidence_histogram_.mean =
-        sum / static_cast<double>(snapshot_.segments.size());
-  }
-}
-
-std::vector<std::uint32_t> FabricIndex::segments_min_confidence(
-    double min_confidence) const {
-  std::vector<std::uint32_t> out;
-  for (const auto& [score, i] : by_confidence_) {
-    if (score < min_confidence) break;  // descending: nothing further matches
-    out.push_back(i);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-const std::vector<std::uint32_t>* FabricIndex::segments_of_peer(
-    Asn peer) const {
-  const auto it = by_peer_.find(peer.value);
-  return it == by_peer_.end() ? nullptr : &it->second;
-}
-
-const std::vector<std::uint32_t>* FabricIndex::segments_of_org(
-    OrgId org) const {
-  const auto it = by_org_.find(org.value);
-  return it == by_org_.end() ? nullptr : &it->second;
-}
-
-const std::vector<std::uint32_t>* FabricIndex::interfaces_in_metro(
-    std::uint32_t metro) const {
-  const auto it = by_metro_.find(metro);
-  return it == by_metro_.end() ? nullptr : &it->second;
-}
-
-const SnapshotPin* FabricIndex::pin_of(Ipv4 address) const {
-  const auto it = pin_by_address_.find(address.value());
-  return it == pin_by_address_.end() ? nullptr : &snapshot_.pins[it->second];
-}
-
-std::optional<std::uint32_t> FabricIndex::region_of(Ipv4 address) const {
-  const auto it = region_by_address_.find(address.value());
-  if (it == region_by_address_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<LookupHit> FabricIndex::lookup(Ipv4 address) const {
-  const auto entry = trie_.lookup_entry(address);
-  if (!entry) return std::nullopt;
-  const auto it = trie_.exact(entry->first);
-  // lookup_entry copies the value; re-resolve to hand out a stable pointer.
-  if (it == nullptr) return std::nullopt;
-  LookupHit hit;
-  hit.prefix = entry->first;
-  hit.is_interface = it->is_interface;
-  hit.abi = it->abi;
-  hit.cbi = it->cbi;
-  hit.segments = &it->segments;
-  return hit;
-}
-
-const std::vector<std::uint32_t>* FabricIndex::alias_set_of(
-    Ipv4 address) const {
-  const auto it = alias_set_by_address_.find(address.value());
-  return it == alias_set_by_address_.end()
-             ? nullptr
-             : &snapshot_.alias_sets[it->second];
-}
-
-SegmentFacts FabricIndex::segment(std::uint32_t index) const {
-  const SnapshotSegment& seg = snapshot_.segments[index];
-  SegmentFacts facts;
-  facts.abi = seg.abi.value();
-  facts.cbi = seg.cbi.value();
-  facts.peer_asn = seg.peer_asn.value;
-  facts.peer_org = seg.peer_org.value;
-  facts.confirmation = static_cast<std::uint8_t>(seg.confirmation);
-  facts.group = seg.group;
-  facts.ixp = seg.ixp;
-  facts.vpi = seg.vpi;
-  facts.confidence = seg.confidence;
-  return facts;
-}
-
-Span32 FabricIndex::peer_segments(std::uint32_t peer_asn) const {
-  const std::vector<std::uint32_t>* hits = segments_of_peer(Asn{peer_asn});
-  return hits == nullptr ? Span32{} : Span32{hits->data(), hits->size()};
-}
-
-Span32 FabricIndex::metro_interfaces(std::uint32_t metro) const {
-  const std::vector<std::uint32_t>* hits = interfaces_in_metro(metro);
-  return hits == nullptr ? Span32{} : Span32{hits->data(), hits->size()};
-}
-
-std::optional<BackendHit> FabricIndex::find(Ipv4 address) const {
-  const auto hit = lookup(address);
-  if (!hit) return std::nullopt;
-  BackendHit out;
-  out.prefix = hit->prefix;
-  out.is_interface = hit->is_interface;
-  out.abi = hit->abi;
-  out.cbi = hit->cbi;
-  out.segments = {hit->segments->data(), hit->segments->size()};
-  return out;
-}
+    : FlatFabricBuffer(std::move(snapshot)),
+      FabricView(reinterpret_cast<const unsigned char*>(words.data())) {}
 
 }  // namespace cloudmap

@@ -1,147 +1,49 @@
-// FabricIndex: an immutable, read-optimized view over one RunSnapshot,
-// built once at load time. Construction materializes every secondary index
-// the query engine needs — segments by peer ASN, by ORG, by confirmation
-// class, by IXP/VPI membership, interfaces by metro pin, and a prefix-trie
-// over all interface addresses (/32) and destination cones (/24) for
-// longest-prefix lookups. After the constructor returns the structure is
-// never mutated, so any number of reader threads may query it concurrently
-// with zero locking.
+// FabricIndex: a FabricView over a flat-fabric blob (io/snapshot_v3.h)
+// encoded in memory from one RunSnapshot. It serves snapshots that arrive
+// without a mappable v3 blob — v1/v2 files read by the copying loader, or a
+// snapshot built in process — through the same code as the zero-copy path:
+// snapv3::encode_flat_fabric() is the one index derivation, and this class
+// only owns its output. After the constructor returns nothing is mutated,
+// so any number of reader threads may query it concurrently with zero
+// locking.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "net/prefix_trie.h"
-#include "query/backend.h"
+#include "query/fabric_view.h"
 #include "query/snapshot.h"
 
 namespace cloudmap {
 
-// One longest-prefix match: a /32 hit names an interface (with its fabric
-// roles), a shorter hit names a destination cone reached through the listed
-// segments.
-struct LookupHit {
-  Prefix prefix;               // most specific covering entry
-  bool is_interface = false;   // /32 interface vs destination /24
-  bool abi = false;            // address appears as an ABI
-  bool cbi = false;            // address appears as a CBI
-  // Indices into segments(), ascending; never null.
-  const std::vector<std::uint32_t>* segments = nullptr;
+namespace detail {
+
+// The 8-byte-aligned storage a FabricIndex's view points into. A base
+// class rather than a member so that it is built before the FabricView
+// base is constructed over it.
+struct FlatFabricBuffer {
+  explicit FlatFabricBuffer(RunSnapshot snapshot);
+  std::vector<std::uint64_t> words;
 };
 
-class FabricIndex : public FabricBackend {
+}  // namespace detail
+
+class FabricIndex : private detail::FlatFabricBuffer, public FabricView {
  public:
-  // Takes the snapshot by value (canonicalized on save/load, so index
-  // iteration orders are deterministic) and builds every index eagerly.
+  // Canonicalizes `snapshot` (hand-built snapshots may arrive unsorted),
+  // encodes it, and validates the blob, so the view's "validated blob"
+  // precondition holds here exactly as it does after MappedSnapshot::open.
+  // Throws std::runtime_error when validation fails (a field out of the
+  // range the format allows). Keeps no copy of the snapshot.
   explicit FabricIndex(RunSnapshot snapshot);
-  FabricIndex(const FabricIndex&) = delete;
-  FabricIndex& operator=(const FabricIndex&) = delete;
 
-  const RunSnapshot& snapshot() const noexcept { return snapshot_; }
-  const std::vector<SnapshotSegment>& segments() const {
-    return snapshot_.segments;
+  // The encoded blob: byte-identical to the flat-fabric section a v3 save
+  // of the same snapshot writes.
+  const unsigned char* blob() const {
+    return reinterpret_cast<const unsigned char*>(words.data());
   }
-
-  // --- secondary indexes (segment indices, ascending; nullptr = no hits) ---
-  const std::vector<std::uint32_t>* segments_of_peer(Asn peer) const;
-  const std::vector<std::uint32_t>* segments_of_org(OrgId org) const;
-  const std::vector<std::uint32_t>& segments_with(Confirmation c) const {
-    return by_confirmation_[static_cast<std::size_t>(c)];
-  }
-  const std::vector<std::uint32_t>& ixp_segments() const {
-    return ixp_segments_;
-  }
-  const std::vector<std::uint32_t>& vpi_segments() const {
-    return vpi_segments_;
-  }
-
-  // Peer ASNs present in the fabric, ascending (unknown/0 excluded).
-  const std::vector<std::uint32_t>& peer_asns() const { return peer_asns_; }
-
-  // --- confidence views ----------------------------------------------------
-  // Segment indices with confidence >= min_confidence, ascending. Backed by
-  // a confidence-sorted index, so the scan touches only qualifying segments.
-  std::vector<std::uint32_t> segments_min_confidence(
-      double min_confidence) const;
-  const ConfidenceHistogram& confidence_histogram() const {
-    return confidence_histogram_;
-  }
-
-  // --- pinning views -------------------------------------------------------
-  // Interface addresses pinned to a metro, ascending; nullptr = none.
-  const std::vector<std::uint32_t>* interfaces_in_metro(
-      std::uint32_t metro) const;
-  // Metros with at least one pinned interface, ascending.
-  const std::vector<std::uint32_t>& pinned_metros() const {
-    return pinned_metros_;
-  }
-  const SnapshotPin* pin_of(Ipv4 address) const;
-  std::optional<std::uint32_t> region_of(Ipv4 address) const;
-
-  // --- longest-prefix lookup ----------------------------------------------
-  std::optional<LookupHit> lookup(Ipv4 address) const;
-
-  // Alias set containing an address; nullptr when the address is in none.
-  const std::vector<std::uint32_t>* alias_set_of(Ipv4 address) const;
-
-  // --- FabricBackend (query/backend.h) -------------------------------------
-  // The generic face of the same data, so QueryEngine::execute() dispatches
-  // identically over a decoded index and a zero-copy FabricView.
-  std::size_t segment_count() const override { return segments().size(); }
-  SegmentFacts segment(std::uint32_t index) const override;
-  Span32 peer_segments(std::uint32_t peer_asn) const override;
-  Span32 asn_list() const override {
-    return {peer_asns_.data(), peer_asns_.size()};
-  }
-  Span32 vpi_list() const override {
-    return {vpi_segments_.data(), vpi_segments_.size()};
-  }
-  Span32 metro_interfaces(std::uint32_t metro) const override;
-  Span32 metro_list() const override {
-    return {pinned_metros_.data(), pinned_metros_.size()};
-  }
-  std::optional<BackendHit> find(Ipv4 address) const override;
-  std::vector<std::uint32_t> min_confidence_list(
-      double min_confidence) const override {
-    return segments_min_confidence(min_confidence);
-  }
-  const ConfidenceHistogram& histogram() const override {
-    return confidence_histogram_;
-  }
-  std::size_t pin_total() const override { return snapshot_.pins.size(); }
-  std::size_t regional_total() const override {
-    return snapshot_.regional.size();
-  }
-
- private:
-  struct TrieEntry {
-    bool is_interface = false;
-    bool abi = false;
-    bool cbi = false;
-    std::vector<std::uint32_t> segments;
-  };
-
-  RunSnapshot snapshot_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_peer_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_org_;
-  std::array<std::vector<std::uint32_t>, 5> by_confirmation_;
-  std::vector<std::uint32_t> ixp_segments_;
-  std::vector<std::uint32_t> vpi_segments_;
-  std::vector<std::uint32_t> peer_asns_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_metro_;
-  std::vector<std::uint32_t> pinned_metros_;
-  std::unordered_map<std::uint32_t, std::size_t> pin_by_address_;
-  std::unordered_map<std::uint32_t, std::uint32_t> region_by_address_;
-  std::unordered_map<std::uint32_t, std::size_t> alias_set_by_address_;
-  // (confidence, segment index), descending by confidence then ascending by
-  // index — binary-searchable for min-confidence queries.
-  std::vector<std::pair<double, std::uint32_t>> by_confidence_;
-  ConfidenceHistogram confidence_histogram_;
-  PrefixTrie<TrieEntry> trie_;
+  std::size_t blob_size() const { return raw().dir->blob_size; }
 };
 
 }  // namespace cloudmap

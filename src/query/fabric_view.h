@@ -1,14 +1,15 @@
-// FabricView: the zero-copy FabricBackend over a validated format-v3 flat
-// fabric blob (io/snapshot_v3.h). Construction casts typed pointers over
-// the blob and precomputes only the confidence histogram — no per-segment
-// decode, no allocation proportional to fabric size — so a daemon can open
-// a snapshot, validate it once, and start answering queries out of the page
-// cache immediately. Answers are bit-identical to a FabricIndex built from
-// the same snapshot (the blob's index arrays are derived with exactly the
-// FabricIndex constructor's semantics; enforced by tests).
+// FabricView: the FabricBackend over a validated format-v3 flat fabric
+// blob (io/snapshot_v3.h), and the only one: every index it serves was
+// derived once, by snapv3::encode_flat_fabric(). Construction casts typed
+// pointers over the blob and precomputes only the confidence histogram —
+// no per-segment decode, no allocation proportional to fabric size — so a
+// daemon can open a snapshot, validate it once, and start answering
+// queries out of the page cache immediately.
 //
-// The view borrows the blob: keep the backing storage (typically a
-// MappedSnapshot, io/mapped_snapshot.h) alive for the view's lifetime.
+// The view borrows the blob: keep the backing storage alive for the view's
+// lifetime. That is a MappedSnapshot (io/mapped_snapshot.h) on the
+// zero-copy path, or the in-memory buffer a FabricIndex
+// (query/fabric_index.h) owns for snapshots loaded by copying.
 // Immutable after construction; safe for any number of reader threads.
 #pragma once
 

@@ -3,7 +3,7 @@
 // heuristic, IXP/VPI classification, peering group), the §6 metro/regional
 // pins, the §5.2 alias sets, and the run's per-stage metrics. This is the
 // *map* the paper produces, captured as one value so it can be persisted
-// (io/snapshot.h), indexed (query/fabric_index.h), and compared across runs
+// (io/snapshot.h), indexed (io/snapshot_v3.h), and compared across runs
 // (query/diff.h) without re-running the campaign.
 //
 // Everything here is plain data. Collections are kept in the canonical order

@@ -1,6 +1,8 @@
 // IPv4 value-type behaviour: formatting, parsing, classification.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/ipv4.h"
 
 namespace cloudmap {
@@ -27,6 +29,12 @@ struct ParseCase {
   const char* text;
   bool valid;
 };
+// Prints a case as its quoted text and verdict, so the test's listed name
+// (which the default printer would make from the raw struct bytes,
+// pointer included) is the same from one build and run to the next.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text) << (c.valid ? " valid" : " invalid");
+}
 class Ipv4Parse : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(Ipv4Parse, HandlesEdgeCases) {

@@ -1,6 +1,8 @@
 // CIDR prefix algebra.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/prefix.h"
 
 namespace cloudmap {
@@ -72,6 +74,12 @@ struct PrefixParseCase {
   const char* text;
   bool valid;
 };
+// Prints a case as its quoted text and verdict, so the test's listed name
+// (which the default printer would make from the raw struct bytes,
+// pointer included) is the same from one build and run to the next.
+void PrintTo(const PrefixParseCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.text) << (c.valid ? " valid" : " invalid");
+}
 class PrefixParse : public ::testing::TestWithParam<PrefixParseCase> {};
 
 TEST_P(PrefixParse, HandlesEdgeCases) {

@@ -1,24 +1,24 @@
-// QueryEngine correctness (src/query/): every typed query cross-checked
-// against a brute-force scan of the raw snapshot, and the zero-locking
-// claim exercised with concurrent readers (this file matches the CI TSan
-// filter, so data races here fail the sanitize job).
+// QueryEngine correctness (src/query/): every query kind cross-checked
+// against a brute-force scan of the raw snapshot (tests/query_oracle.h),
+// and the zero-locking claim exercised with concurrent readers (this file
+// matches the CI TSan filter, so data races here fail the sanitize job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <optional>
-#include <set>
+#include <cstdint>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "fixtures.h"
 #include "query/diff.h"
 #include "query/engine.h"
 #include "query/fabric_index.h"
+#include "query_oracle.h"
 
 namespace cloudmap {
 namespace {
+
+using enum QueryKind;
 
 const FabricIndex& shared_index() {
   static const FabricIndex* index =
@@ -26,165 +26,185 @@ const FabricIndex& shared_index() {
   return *index;
 }
 
+const testfx::QueryOracle& oracle() {
+  static const testfx::QueryOracle* oracle =
+      new testfx::QueryOracle(testfx::small_pipeline().run_snapshot());
+  return *oracle;
+}
+
+const std::vector<SnapshotSegment>& segments() {
+  return oracle().snapshot().segments;
+}
+
+TEST(QueryEngine, EveryKindMatchesOracle) {
+  const QueryEngine engine(shared_index());
+  const std::vector<QueryRequest> requests =
+      testfx::every_request(oracle().snapshot());
+  std::size_t found = 0;
+  for (const QueryRequest& request : requests) {
+    const QueryResponse got = engine.execute(request);
+    const QueryResponse want = oracle().execute(request);
+    EXPECT_EQ(got.items, want.items) << testfx::describe(request);
+    EXPECT_TRUE(testfx::same_response(got, want))
+        << testfx::describe(request);
+    if (got.found) ++found;
+  }
+  // The request set reaches both sides of every branch it targets.
+  EXPECT_GT(requests.size(), 100u);
+  EXPECT_GT(found, 0u);
+}
+
 TEST(QueryEngine, PeersOfMatchesBruteForce) {
   const FabricIndex& index = shared_index();
   const QueryEngine engine(index);
-  ASSERT_FALSE(index.peer_asns().empty());
-  for (std::uint32_t asn : index.peer_asns()) {
+  ASSERT_FALSE(index.asn_list().empty());
+  for (const std::uint32_t asn : index.asn_list()) {
     std::vector<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-      if (index.segments()[i].peer_asn == Asn{asn}) expected.push_back(i);
-    EXPECT_EQ(engine.peers_of(Asn{asn}), expected) << "AS" << asn;
-    EXPECT_FALSE(expected.empty()) << "peer_asns() listed an absent AS";
+    for (std::uint32_t i = 0; i < segments().size(); ++i)
+      if (segments()[i].peer_asn == Asn{asn}) expected.push_back(i);
+    EXPECT_EQ(engine.execute({.kind = kPeersOf, .asn = asn}).items,
+              expected)
+        << "AS" << asn;
+    EXPECT_FALSE(expected.empty()) << "asn_list() listed an absent AS";
   }
-  EXPECT_TRUE(engine.peers_of(Asn{4294967295u}).empty());
+  EXPECT_TRUE(
+      engine.execute({.kind = kPeersOf, .asn = 4294967295u}).items.empty());
 }
 
 TEST(QueryEngine, InterfacesInMatchesBruteForce) {
   const FabricIndex& index = shared_index();
   const QueryEngine engine(index);
-  ASSERT_FALSE(index.pinned_metros().empty());
-  for (std::uint32_t metro : index.pinned_metros()) {
+  ASSERT_FALSE(index.metro_list().empty());
+  for (const std::uint32_t metro : index.metro_list()) {
     std::vector<std::uint32_t> expected;
-    for (const SnapshotPin& pin : index.snapshot().pins)
+    for (const SnapshotPin& pin : oracle().snapshot().pins)
       if (pin.metro == metro) expected.push_back(pin.address);
-    EXPECT_EQ(engine.interfaces_in(metro), expected) << "metro " << metro;
+    EXPECT_EQ(engine.execute({.kind = kInterfacesIn, .metro = metro}).items,
+              expected)
+        << "metro " << metro;
   }
-  EXPECT_TRUE(engine.interfaces_in(kInvalidIndex).empty());
+  EXPECT_TRUE(engine.execute({.kind = kInterfacesIn, .metro = kInvalidIndex})
+                  .items.empty());
 }
 
 TEST(QueryEngine, VpiCandidatesMatchBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const QueryEngine engine(shared_index());
   std::vector<std::uint32_t> expected;
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-    if (index.segments()[i].vpi) expected.push_back(i);
-  EXPECT_EQ(engine.vpi_candidates(), expected);
+  for (std::uint32_t i = 0; i < segments().size(); ++i)
+    if (segments()[i].vpi) expected.push_back(i);
+  EXPECT_EQ(engine.execute({.kind = kVpiCandidates}).items, expected);
 }
 
 TEST(QueryEngine, LookupFindsEveryInterfaceExactly) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i) {
-    const SnapshotSegment& seg = index.segments()[i];
+  const QueryEngine engine(shared_index());
+  for (std::uint32_t i = 0; i < segments().size(); ++i) {
+    const SnapshotSegment& seg = segments()[i];
     for (const Ipv4 address : {seg.abi, seg.cbi}) {
-      const auto hit = engine.lookup(address);
-      ASSERT_TRUE(hit.has_value()) << address.to_string();
-      EXPECT_TRUE(hit->is_interface);
-      EXPECT_EQ(hit->prefix.length(), 32);
-      EXPECT_EQ(hit->prefix.network(), address);
-      ASSERT_NE(hit->segments, nullptr);
-      EXPECT_TRUE(std::find(hit->segments->begin(), hit->segments->end(),
-                            i) != hit->segments->end());
-      EXPECT_TRUE(address == seg.abi ? hit->abi : hit->cbi);
+      const QueryResponse hit =
+          engine.execute({.kind = kLookup, .address = address.value()});
+      ASSERT_TRUE(hit.found) << address.to_string();
+      EXPECT_TRUE(hit.is_interface);
+      EXPECT_EQ(hit.prefix_length, 32);
+      EXPECT_EQ(hit.prefix_network, address.value());
+      EXPECT_TRUE(std::find(hit.items.begin(), hit.items.end(), i) !=
+                  hit.items.end());
+      EXPECT_TRUE(address == seg.abi ? hit.role_abi : hit.role_cbi);
     }
   }
 }
 
 TEST(QueryEngine, LookupCoversDestinationCones) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
+  const QueryEngine engine(shared_index());
   bool checked = false;
-  for (std::uint32_t i = 0; i < index.segments().size(); ++i) {
-    for (std::uint32_t network : index.segments()[i].dest_slash24s) {
+  for (std::uint32_t i = 0; i < segments().size(); ++i) {
+    for (const std::uint32_t network : segments()[i].dest_slash24s) {
       // Probe a host inside the /24 that is not itself an interface.
       const Ipv4 probe(network | 0xFDu);
-      const auto hit = engine.lookup(probe);
-      ASSERT_TRUE(hit.has_value()) << probe.to_string();
-      if (hit->is_interface) continue;  // a /32 interface shadowed the cone
-      EXPECT_EQ(hit->prefix.length(), 24);
-      ASSERT_NE(hit->segments, nullptr);
-      EXPECT_TRUE(std::find(hit->segments->begin(), hit->segments->end(),
-                            i) != hit->segments->end());
+      const QueryResponse hit =
+          engine.execute({.kind = kLookup, .address = probe.value()});
+      ASSERT_TRUE(hit.found) << probe.to_string();
+      if (hit.is_interface) continue;  // a /32 interface shadowed the cone
+      EXPECT_EQ(hit.prefix_length, 24);
+      EXPECT_TRUE(std::find(hit.items.begin(), hit.items.end(), i) !=
+                  hit.items.end());
       checked = true;
     }
   }
   EXPECT_TRUE(checked);
-  EXPECT_FALSE(engine.lookup(Ipv4(255, 255, 255, 254)).has_value());
+  EXPECT_FALSE(engine
+                   .execute({.kind = kLookup,
+                             .address = Ipv4(255, 255, 255, 254).value()})
+                   .found);
 }
 
 TEST(QueryEngine, CountsMatchBruteForce) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-  const FabricCounts counts = engine.counts();
-  const RunSnapshot& snap = index.snapshot();
+  const QueryEngine engine(shared_index());
+  const QueryResponse response = engine.execute({.kind = kCounts});
+  ASSERT_TRUE(response.counts.has_value());
+  const FabricCounts& counts = *response.counts;
+  const FabricCounts expected =
+      *oracle().execute({.kind = kCounts}).counts;
 
-  std::unordered_set<std::uint32_t> abis, cbis, ases, orgs, vpi_cbis;
-  std::size_t ixp = 0, unattributed = 0;
-  std::array<std::size_t, 5> by_conf{};
-  std::array<std::size_t, kPeeringGroupCount> group_segments{};
-  std::array<std::set<std::uint32_t>, kPeeringGroupCount> group_ases;
-  for (const SnapshotSegment& seg : snap.segments) {
-    abis.insert(seg.abi.value());
-    cbis.insert(seg.cbi.value());
-    if (seg.peer_asn != Asn{0}) ases.insert(seg.peer_asn.value);
-    if (seg.peer_org != OrgId{0}) orgs.insert(seg.peer_org.value);
-    ++by_conf[static_cast<std::size_t>(seg.confirmation)];
-    if (seg.ixp) ++ixp;
-    if (seg.vpi) vpi_cbis.insert(seg.cbi.value());
-    if (seg.group == kSnapshotNoGroup) {
-      ++unattributed;
-    } else {
-      ++group_segments[seg.group];
-      group_ases[seg.group].insert(seg.peer_asn.value);
-    }
-  }
-  EXPECT_EQ(counts.segments, snap.segments.size());
-  EXPECT_EQ(counts.unique_abis, abis.size());
-  EXPECT_EQ(counts.unique_cbis, cbis.size());
-  EXPECT_EQ(counts.peer_ases, ases.size());
-  EXPECT_EQ(counts.peer_orgs, orgs.size());
-  for (std::size_t c = 0; c < by_conf.size(); ++c)
-    EXPECT_EQ(counts.by_confirmation[c], by_conf[c]) << "confirmation " << c;
-  EXPECT_EQ(counts.ixp_segments, ixp);
-  EXPECT_EQ(counts.vpi_cbis, vpi_cbis.size());
-  for (std::size_t g = 0; g < kPeeringGroupCount; ++g) {
-    EXPECT_EQ(counts.group_segments[g], group_segments[g]) << "group " << g;
-    EXPECT_EQ(counts.group_ases[g], group_ases[g].size()) << "group " << g;
-  }
-  EXPECT_EQ(counts.unattributed_segments, unattributed);
-  EXPECT_EQ(counts.pinned_interfaces, snap.pins.size());
-  EXPECT_EQ(counts.regional_only, snap.regional.size());
+  EXPECT_EQ(counts.segments, expected.segments);
+  EXPECT_EQ(counts.unique_abis, expected.unique_abis);
+  EXPECT_EQ(counts.unique_cbis, expected.unique_cbis);
+  EXPECT_EQ(counts.peer_ases, expected.peer_ases);
+  EXPECT_EQ(counts.peer_orgs, expected.peer_orgs);
+  EXPECT_EQ(counts.by_confirmation, expected.by_confirmation);
+  EXPECT_EQ(counts.ixp_segments, expected.ixp_segments);
+  EXPECT_EQ(counts.vpi_cbis, expected.vpi_cbis);
+  EXPECT_EQ(counts.group_segments, expected.group_segments);
+  EXPECT_EQ(counts.group_ases, expected.group_ases);
+  EXPECT_EQ(counts.unattributed_segments, expected.unattributed_segments);
+  EXPECT_EQ(counts.pinned_interfaces, expected.pinned_interfaces);
+  EXPECT_EQ(counts.regional_only, expected.regional_only);
+  EXPECT_DOUBLE_EQ(counts.mean_confidence, expected.mean_confidence);
+  EXPECT_EQ(counts.confident_segments, expected.confident_segments);
+  EXPECT_EQ(counts.segments, segments().size());
+  EXPECT_EQ(counts.pinned_interfaces, oracle().snapshot().pins.size());
   EXPECT_GT(counts.segments, 0u);
   EXPECT_GT(counts.peer_ases, 0u);
 }
 
 TEST(QueryEngine, MinConfidenceMatchesBruteForce) {
-  const FabricIndex& index = shared_index();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
+  const QueryEngine engine(shared_index(), &registry);
+  const auto at_least = [&engine](double threshold) {
+    return engine
+        .execute({.kind = kMinConfidence, .min_confidence = threshold})
+        .items;
+  };
   for (const double threshold : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0}) {
     std::vector<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < index.segments().size(); ++i)
-      if (index.segments()[i].confidence >= threshold) expected.push_back(i);
-    EXPECT_EQ(engine.segments_min_confidence(threshold), expected)
-        << "threshold " << threshold;
+    for (std::uint32_t i = 0; i < segments().size(); ++i)
+      if (segments()[i].confidence >= threshold) expected.push_back(i);
+    EXPECT_EQ(at_least(threshold), expected) << "threshold " << threshold;
   }
   // Thresholds only shrink the answer; <= 0 returns the whole fabric.
-  EXPECT_EQ(engine.segments_min_confidence(0.0).size(),
-            index.segments().size());
-  EXPECT_GE(engine.segments_min_confidence(0.3).size(),
-            engine.segments_min_confidence(0.6).size());
+  EXPECT_EQ(at_least(0.0).size(), segments().size());
+  EXPECT_GE(at_least(0.3).size(), at_least(0.6).size());
   // Every call above bumped the counter: 6 thresholds + 3 shape checks.
   EXPECT_EQ(registry.counter_value("query.min_confidence"), 9u);
 }
 
 TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
-  const FabricIndex& index = shared_index();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
-  const ConfidenceHistogram& hist = engine.confidence_histogram();
-  EXPECT_EQ(hist.segments, index.segments().size());
+  const QueryEngine engine(shared_index(), &registry);
+  const QueryResponse response =
+      engine.execute({.kind = kConfidenceHistogram});
+  ASSERT_TRUE(response.histogram.has_value());
+  const ConfidenceHistogram& hist = *response.histogram;
+  EXPECT_EQ(hist.segments, segments().size());
   std::size_t binned = 0;
   for (const std::size_t bin : hist.bins) binned += bin;
-  EXPECT_EQ(binned, index.segments().size());
+  EXPECT_EQ(binned, segments().size());
   double sum = 0.0, lo = 1.0, hi = 0.0;
-  for (const SnapshotSegment& seg : index.segments()) {
+  for (const SnapshotSegment& seg : segments()) {
     sum += seg.confidence;
     lo = std::min(lo, seg.confidence);
     hi = std::max(hi, seg.confidence);
   }
-  ASSERT_FALSE(index.segments().empty());
+  ASSERT_FALSE(segments().empty());
   EXPECT_DOUBLE_EQ(hist.mean, sum / static_cast<double>(hist.segments));
   EXPECT_DOUBLE_EQ(hist.min, lo);
   EXPECT_DOUBLE_EQ(hist.max, hi);
@@ -193,11 +213,11 @@ TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
   EXPECT_LE(hist.max, 1.0);
   EXPECT_EQ(registry.counter_value("query.confidence_histogram"), 1u);
 
-  // counts() aggregates agree with the histogram's moments.
-  const FabricCounts counts = engine.counts();
+  // The counts aggregates agree with the histogram's moments.
+  const FabricCounts counts = *engine.execute({.kind = kCounts}).counts;
   EXPECT_DOUBLE_EQ(counts.mean_confidence, hist.mean);
   std::size_t confident = 0;
-  for (const SnapshotSegment& seg : index.segments())
+  for (const SnapshotSegment& seg : segments())
     if (seg.confidence >= 0.5) ++confident;
   EXPECT_EQ(counts.confident_segments, confident);
 }
@@ -206,23 +226,30 @@ TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {
 // Bit-identical answers at any thread count means identical digests.
 std::uint64_t query_digest(const QueryEngine& engine, std::size_t slice,
                            std::size_t slices) {
-  const FabricIndex& index = engine.index();
+  const FabricBackend& backend = engine.backend();
   std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&digest](std::uint64_t value) {
     digest = (digest ^ value) * 1099511628211ull;
   };
-  for (std::size_t a = slice; a < index.peer_asns().size(); a += slices)
-    for (std::uint32_t seg : engine.peers_of(Asn{index.peer_asns()[a]}))
+  const Span32 asns = backend.asn_list();
+  for (std::size_t a = slice; a < asns.size(); a += slices)
+    for (const std::uint32_t seg :
+         engine.execute({.kind = kPeersOf, .asn = asns[a]}).items)
       mix(seg);
-  for (std::size_t m = slice; m < index.pinned_metros().size(); m += slices)
-    for (std::uint32_t addr : engine.interfaces_in(index.pinned_metros()[m]))
+  const Span32 metros = backend.metro_list();
+  for (std::size_t m = slice; m < metros.size(); m += slices)
+    for (const std::uint32_t addr :
+         engine.execute({.kind = kInterfacesIn, .metro = metros[m]}).items)
       mix(addr);
-  for (std::uint32_t seg : engine.vpi_candidates()) mix(seg);
-  for (std::size_t i = slice; i < index.segments().size(); i += slices) {
-    const auto hit = engine.lookup(index.segments()[i].cbi);
-    mix(hit ? hit->segments->size() : 0);
+  for (const std::uint32_t seg : engine.execute({.kind = kVpiCandidates}).items)
+    mix(seg);
+  for (std::size_t i = slice; i < backend.segment_count(); i += slices) {
+    const std::uint32_t cbi =
+        backend.segment(static_cast<std::uint32_t>(i)).cbi;
+    const QueryResponse hit = engine.execute({.kind = kLookup, .address = cbi});
+    mix(hit.items.size());
   }
-  const FabricCounts counts = engine.counts();
+  const FabricCounts counts = *engine.execute({.kind = kCounts}).counts;
   mix(counts.segments);
   mix(counts.peer_ases);
   mix(counts.vpi_cbis);
@@ -230,9 +257,8 @@ std::uint64_t query_digest(const QueryEngine& engine, std::size_t slice,
 }
 
 TEST(QueryEngine, ConcurrentReadersMatchSingleThread) {
-  const FabricIndex& index = shared_index();
   MetricsRegistry registry(true);
-  const QueryEngine engine(index, &registry);
+  const QueryEngine engine(shared_index(), &registry);
   constexpr std::size_t kSlices = 4;
 
   // Reference: every slice computed on one thread.

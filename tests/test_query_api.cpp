@@ -1,8 +1,8 @@
 // The unified request/response query API (query/request.h): execute()
-// answers every QueryKind identically to the deprecated per-query shims,
-// bumps exactly one metrics counter per call (the same counters the shims
-// bump), honors min-confidence filtering and brief expansion, and turns
-// malformed requests into kBadRequest instead of throwing.
+// bumps exactly one metrics counter per call, honors min-confidence
+// filtering and brief expansion, and turns malformed requests into
+// kBadRequest instead of throwing. Answer correctness for every kind is
+// checked against the brute-force oracle in test_query.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,79 +29,6 @@ std::uint64_t counter_value(const MetricsRegistry& registry,
   for (const auto& [key, value] : registry.snapshot().counters)
     if (key == name) return value;
   return 0;
-}
-
-TEST(QueryApi, ExecuteMatchesEveryDeprecatedShim) {
-  const FabricIndex& index = shared_index();
-  const QueryEngine engine(index);
-
-  QueryRequest request;
-  request.kind = QueryKind::kPeersOf;
-  ASSERT_FALSE(index.peer_asns().empty());
-  request.asn = index.peer_asns().front();
-  EXPECT_EQ(engine.execute(request).items,
-            engine.peers_of(Asn{request.asn}));
-
-  request = {};
-  request.kind = QueryKind::kInterfacesIn;
-  ASSERT_FALSE(index.pinned_metros().empty());
-  request.metro = index.pinned_metros().front();
-  EXPECT_EQ(engine.execute(request).items,
-            engine.interfaces_in(request.metro));
-
-  request = {};
-  request.kind = QueryKind::kVpiCandidates;
-  EXPECT_EQ(engine.execute(request).items, engine.vpi_candidates());
-
-  request = {};
-  request.kind = QueryKind::kMinConfidence;
-  request.min_confidence = 0.5;
-  EXPECT_EQ(engine.execute(request).items,
-            engine.segments_min_confidence(0.5));
-
-  request = {};
-  request.kind = QueryKind::kCounts;
-  const QueryResponse counts_response = engine.execute(request);
-  ASSERT_TRUE(counts_response.counts.has_value());
-  const FabricCounts& via_shim = engine.counts();
-  EXPECT_EQ(counts_response.counts->segments, via_shim.segments);
-  EXPECT_EQ(counts_response.counts->peer_ases, via_shim.peer_ases);
-  EXPECT_EQ(counts_response.counts->peer_orgs, via_shim.peer_orgs);
-
-  request = {};
-  request.kind = QueryKind::kConfidenceHistogram;
-  const QueryResponse histogram_response = engine.execute(request);
-  ASSERT_TRUE(histogram_response.histogram.has_value());
-  EXPECT_EQ(histogram_response.histogram->bins,
-            engine.confidence_histogram().bins);
-
-  request = {};
-  request.kind = QueryKind::kPeerList;
-  EXPECT_EQ(engine.execute(request).items, index.peer_asns());
-
-  // Lookup: the response mirrors the pointer-based shim hit field by field.
-  request = {};
-  request.kind = QueryKind::kLookup;
-  const SegmentFacts facts = index.segment(0);
-  request.address = facts.abi;
-  const QueryResponse hit_response = engine.execute(request);
-  const auto hit = engine.lookup(Ipv4(facts.abi));
-  ASSERT_TRUE(hit_response.found);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit_response.prefix_network, hit->prefix.network().value());
-  EXPECT_EQ(hit_response.prefix_length, hit->prefix.length());
-  EXPECT_EQ(hit_response.is_interface, hit->is_interface);
-  EXPECT_EQ(hit_response.role_abi, hit->abi);
-  EXPECT_EQ(hit_response.role_cbi, hit->cbi);
-  ASSERT_NE(hit->segments, nullptr);
-  EXPECT_EQ(hit_response.items, *hit->segments);
-
-  // A missing address is kOk with found=false, not an error.
-  request.address = Ipv4(255, 255, 255, 254).value();
-  const QueryResponse miss = engine.execute(request);
-  EXPECT_EQ(miss.status, QueryStatus::kOk);
-  EXPECT_FALSE(miss.found);
-  EXPECT_TRUE(miss.items.empty());
 }
 
 TEST(QueryApi, EveryCallBumpsItsOwnCounter) {
@@ -135,14 +62,6 @@ TEST(QueryApi, EveryCallBumpsItsOwnCounter) {
   for (const auto& [kind, name] : cases)
     total += counter_value(registry, name);
   EXPECT_EQ(total, 8u);
-
-  // The deprecated shims bump the same counters as their execute() form.
-  engine.vpi_candidates();
-  EXPECT_EQ(counter_value(registry, "query.vpi_candidates"), 2u);
-  engine.lookup(Ipv4(10, 0, 0, 1));
-  EXPECT_EQ(counter_value(registry, "query.lookups"), 2u);
-  engine.confidence_histogram();
-  EXPECT_EQ(counter_value(registry, "query.confidence_histogram"), 2u);
 }
 
 TEST(QueryApi, MinConfidenceFiltersPeersOfAndVpiCandidates) {
@@ -151,26 +70,27 @@ TEST(QueryApi, MinConfidenceFiltersPeersOfAndVpiCandidates) {
 
   QueryRequest request;
   request.kind = QueryKind::kVpiCandidates;
+  const std::vector<std::uint32_t> unfiltered = engine.execute(request).items;
   request.min_confidence = 0.6;
   const QueryResponse filtered = engine.execute(request);
   std::vector<std::uint32_t> expected;
-  for (const std::uint32_t i : engine.vpi_candidates())
+  for (const std::uint32_t i : unfiltered)
     if (index.segment(i).confidence >= 0.6) expected.push_back(i);
   EXPECT_EQ(filtered.items, expected);
 
   // The default threshold (-1) filters nothing.
   request.min_confidence = -1.0;
-  EXPECT_EQ(engine.execute(request).items, engine.vpi_candidates());
+  EXPECT_EQ(engine.execute(request).items, unfiltered);
 
-  ASSERT_FALSE(index.peer_asns().empty());
-  for (const std::uint32_t asn : index.peer_asns()) {
+  ASSERT_FALSE(index.asn_list().empty());
+  for (const std::uint32_t asn : index.asn_list()) {
     request = {};
     request.kind = QueryKind::kPeersOf;
     request.asn = asn;
-    request.min_confidence = 0.6;
     expected.clear();
-    for (const std::uint32_t i : engine.peers_of(Asn{asn}))
+    for (const std::uint32_t i : engine.execute(request).items)
       if (index.segment(i).confidence >= 0.6) expected.push_back(i);
+    request.min_confidence = 0.6;
     EXPECT_EQ(engine.execute(request).items, expected) << "AS" << asn;
   }
 }

@@ -149,9 +149,8 @@ TEST(Serve, QueryResponsePayloadRoundTripsEveryShape) {
     requests[k].kind = static_cast<QueryKind>(k);
     requests[k].want_briefs = true;
   }
-  ASSERT_FALSE(index.peer_asns().empty());
-  requests[static_cast<int>(QueryKind::kPeersOf)].asn =
-      index.peer_asns().front();
+  ASSERT_FALSE(index.asn_list().empty());
+  requests[static_cast<int>(QueryKind::kPeersOf)].asn = index.asn_list()[0];
   requests[static_cast<int>(QueryKind::kLookup)].address = index.segment(0).abi;
   requests[static_cast<int>(QueryKind::kMinConfidence)].min_confidence = 0.5;
 
@@ -237,7 +236,7 @@ TEST(Serve, LoopbackServerAnswersEveryQueryClass) {
     request.kind = static_cast<QueryKind>(k);
     request.want_briefs = true;
     if (request.kind == QueryKind::kPeersOf)
-      request.asn = index.peer_asns().front();
+      request.asn = index.asn_list()[0];
     if (request.kind == QueryKind::kLookup)
       request.address = index.segment(0).abi;
     if (request.kind == QueryKind::kMinConfidence)

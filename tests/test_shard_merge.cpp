@@ -159,7 +159,10 @@ TEST(ParallelCampaignShard, MergedSnapshotMatchesSingleProcessByteForByte) {
 class ShardMergeRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = testing::TempDir() + "shardrej";
+    // One prefix per test: ctest runs these tests as parallel processes, and
+    // a shared prefix lets one test's SetUp rewrite the parts another reads.
+    prefix_ = testing::TempDir() + "shardrej_" +
+              testing::UnitTest::GetInstance()->current_test_info()->name();
     const World& world = testfx::small_world();
     const PipelineOptions base = shard_test_options(1);
     run_shard_round(world, base, 1, 0, 2, prefix_);

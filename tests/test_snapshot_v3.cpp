@@ -1,8 +1,9 @@
 // Format-v3 snapshot hardening: the flat blob round-trips byte-identically
 // through save/load/save, the zero-copy loader (io/mapped_snapshot.h)
-// rejects truncation, byte flips, and pre-v3 files, and a FabricView over
-// the mapping answers every backend query identically to a FabricIndex
-// built from the decoded snapshot — without copying a byte out of the file.
+// rejects truncation, byte flips, and pre-v3 files, a FabricIndex encodes
+// the very blob a v3 save writes, and a FabricView over the mapping answers
+// every query as the brute-force oracle (query_oracle.h) does — without
+// copying a byte out of the file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,8 +20,10 @@
 #include "io/mapped_snapshot.h"
 #include "io/snapshot.h"
 #include "io/snapshot_v3.h"
+#include "query/engine.h"
 #include "query/fabric_index.h"
 #include "query/fabric_view.h"
+#include "query_oracle.h"
 
 namespace cloudmap {
 namespace {
@@ -162,72 +166,124 @@ TEST(SnapshotV3, ValidateRejectsBadDirectoryWithValidCrc) {
   }
 }
 
-TEST(SnapshotV3, FabricViewMatchesFabricIndexOnEveryQuery) {
-  const std::string path = write_temp(v3_bytes(), "v3_view.snap");
-  std::string error;
-  const auto mapped = MappedSnapshot::open(path, &error);
-  ASSERT_TRUE(mapped.has_value()) << error;
-  const FabricView view(mapped->blob());
-  const FabricIndex index(shared_snapshot());
-
-  ASSERT_EQ(view.segment_count(), index.segment_count());
-  for (std::uint32_t i = 0; i < view.segment_count(); ++i) {
-    const SegmentFacts a = view.segment(i);
-    const SegmentFacts b = index.segment(i);
-    EXPECT_EQ(a.abi, b.abi) << i;
-    EXPECT_EQ(a.cbi, b.cbi) << i;
-    EXPECT_EQ(a.peer_asn, b.peer_asn) << i;
-    EXPECT_EQ(a.peer_org, b.peer_org) << i;
-    EXPECT_EQ(a.confirmation, b.confirmation) << i;
-    EXPECT_EQ(a.group, b.group) << i;
-    EXPECT_EQ(a.ixp, b.ixp) << i;
-    EXPECT_EQ(a.vpi, b.vpi) << i;
-    EXPECT_DOUBLE_EQ(a.confidence, b.confidence) << i;
-  }
-
-  auto as_vector = [](Span32 span) {
-    return std::vector<std::uint32_t>(span.begin(), span.end());
+// A snapshot built by hand, deliberately out of canonical order, with
+// every index the blob derives populated: shared peers, a /32 that is the
+// ABI of one segment and the CBI of another, a /24 cone two segments
+// share, pins in two metros, regional entries, and alias sets.
+RunSnapshot unsorted_snapshot() {
+  RunSnapshot s;
+  s.seed = 7;
+  s.threads = 2;
+  const auto segment = [](Ipv4 abi, Ipv4 cbi, std::uint32_t asn,
+                          double confidence) {
+    SnapshotSegment seg;
+    seg.abi = abi;
+    seg.cbi = cbi;
+    seg.peer_asn = Asn{asn};
+    seg.peer_org = OrgId{asn == 0 ? 0 : asn + 1};
+    seg.group = asn == 0 ? kSnapshotNoGroup : 1;
+    seg.confirmation = Confirmation::kIxpClient;
+    seg.confidence = confidence;
+    seg.hop_density = 0.5;
+    return seg;
   };
-  EXPECT_EQ(as_vector(view.asn_list()), as_vector(index.asn_list()));
-  EXPECT_EQ(as_vector(view.vpi_list()), as_vector(index.vpi_list()));
-  EXPECT_EQ(as_vector(view.metro_list()), as_vector(index.metro_list()));
-  for (const std::uint32_t asn : as_vector(view.asn_list()))
-    EXPECT_EQ(as_vector(view.peer_segments(asn)),
-              as_vector(index.peer_segments(asn)))
-        << "AS" << asn;
-  EXPECT_TRUE(view.peer_segments(4294967295u).empty());
-  for (const std::uint32_t metro : as_vector(view.metro_list()))
-    EXPECT_EQ(as_vector(view.metro_interfaces(metro)),
-              as_vector(index.metro_interfaces(metro)))
-        << "metro " << metro;
+  s.segments.push_back(segment(Ipv4(10, 0, 0, 9), Ipv4(10, 0, 0, 5), 64500,
+                               0.4));
+  s.segments.push_back(segment(Ipv4(10, 0, 0, 5), Ipv4(10, 0, 0, 1), 64501,
+                               0.9));
+  s.segments.push_back(segment(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 0, 1.0));
+  s.segments.push_back(segment(Ipv4(10, 0, 0, 3), Ipv4(10, 0, 0, 4), 64500,
+                               0.0));
+  s.segments[0].vpi = true;
+  s.segments[2].ixp = true;
+  s.segments[0].dest_slash24s = {0xC6336500u, 0xC0000200u};
+  s.segments[1].dest_slash24s = {0xC0000200u};
+  s.segments[3].regions = {4, 1};
+  s.pins = {{0x0A000009u, 3, 1, 2, 1}, {0x0A000001u, 3, 0, 1, 0},
+            {0x0A000005u, 1, 2, 0, 2}};
+  s.regional = {{0x0A000004u, 9}, {0x0A000003u, 2}};
+  s.alias_sets = {{0x0A000009u, 0x0A000005u}, {0x0A000002u, 0x0A000001u}};
+  return s;
+}
 
-  // Lookups: every interface address of every segment, plus misses.
-  for (std::uint32_t i = 0; i < view.segment_count(); ++i) {
-    const SegmentFacts facts = view.segment(i);
-    for (const std::uint32_t raw : {facts.abi, facts.cbi}) {
-      const Ipv4 address(raw);
-      const auto a = view.find(address);
-      const auto b = index.find(address);
-      ASSERT_TRUE(a.has_value()) << address.to_string();
-      ASSERT_TRUE(b.has_value()) << address.to_string();
-      EXPECT_EQ(a->prefix, b->prefix);
-      EXPECT_EQ(a->is_interface, b->is_interface);
-      EXPECT_EQ(a->abi, b->abi);
-      EXPECT_EQ(a->cbi, b->cbi);
-      EXPECT_EQ(as_vector(a->segments), as_vector(b->segments));
-    }
+TEST(SnapshotV3, InMemoryBlobMatchesTheSavedBlob) {
+  const std::vector<RunSnapshot> snapshots = {shared_snapshot(),
+                                              unsorted_snapshot()};
+  for (std::size_t k = 0; k < snapshots.size(); ++k) {
+    std::ostringstream out;
+    save_snapshot(out, snapshots[k]);
+    const std::string path = write_temp(out.str(), "v3_blob.snap");
+    std::string error;
+    const auto mapped = MappedSnapshot::open(path, &error);
+    ASSERT_TRUE(mapped.has_value()) << error;
+    const FabricIndex index(snapshots[k]);
+    ASSERT_EQ(index.blob_size(), mapped->blob_size()) << "snapshot " << k;
+    EXPECT_EQ(std::memcmp(index.blob(), mapped->blob(), index.blob_size()),
+              0)
+        << "snapshot " << k;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(index.blob()) % 8, 0u);
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(view.find(Ipv4(255, 255, 255, 254)).has_value(),
-            index.find(Ipv4(255, 255, 255, 254)).has_value());
+  // The hand-built snapshot reached the encoder only after canonicalize():
+  // its segments come back sorted by (ABI, CBI).
+  const FabricIndex index(unsorted_snapshot());
+  ASSERT_EQ(index.segment_count(), 4u);
+  for (std::uint32_t i = 1; i < index.segment_count(); ++i)
+    EXPECT_LT(index.segment(i - 1).abi, index.segment(i).abi) << i;
+}
 
-  for (const double min : {0.0, 0.25, 0.5, 0.75, 0.9, 1.0})
-    EXPECT_EQ(view.min_confidence_list(min), index.min_confidence_list(min))
-        << "min " << min;
-  for (std::size_t bin = 0; bin < view.histogram().bins.size(); ++bin)
-    EXPECT_EQ(view.histogram().bins[bin], index.histogram().bins[bin]) << bin;
-  EXPECT_EQ(view.pin_total(), index.pin_total());
-  EXPECT_EQ(view.regional_total(), index.regional_total());
-  std::remove(path.c_str());
+TEST(SnapshotV3, FabricIndexRejectsOutOfRangeFields) {
+  RunSnapshot bad = unsorted_snapshot();
+  bad.segments[1].confidence = 1.5;
+  EXPECT_THROW(FabricIndex{bad}, std::runtime_error);
+  bad = unsorted_snapshot();
+  bad.segments[0].group = 6;
+  EXPECT_THROW(FabricIndex{bad}, std::runtime_error);
+}
+
+TEST(SnapshotV3, FabricViewMatchesFabricIndexOnEveryQuery) {
+  // Both backends against the brute-force oracle: the mmapped view of a
+  // saved file, and the in-memory index of the same snapshot — for the
+  // pipeline's fabric and for the hand-built one.
+  for (const RunSnapshot& snapshot : {shared_snapshot(), unsorted_snapshot()}) {
+    std::ostringstream out;
+    save_snapshot(out, snapshot);
+    const std::string path = write_temp(out.str(), "v3_view.snap");
+    std::string error;
+    const auto mapped = MappedSnapshot::open(path, &error);
+    ASSERT_TRUE(mapped.has_value()) << error;
+    const FabricView view(mapped->blob());
+    const FabricIndex index(snapshot);
+    const testfx::QueryOracle oracle(snapshot);
+
+    ASSERT_EQ(view.segment_count(), oracle.snapshot().segments.size());
+    for (std::uint32_t i = 0; i < view.segment_count(); ++i) {
+      const SegmentFacts a = view.segment(i);
+      const SnapshotSegment& b = oracle.snapshot().segments[i];
+      EXPECT_EQ(a.abi, b.abi.value()) << i;
+      EXPECT_EQ(a.cbi, b.cbi.value()) << i;
+      EXPECT_EQ(a.peer_asn, b.peer_asn.value) << i;
+      EXPECT_EQ(a.peer_org, b.peer_org.value) << i;
+      EXPECT_EQ(a.confirmation, static_cast<std::uint8_t>(b.confirmation))
+          << i;
+      EXPECT_EQ(a.group, b.group) << i;
+      EXPECT_EQ(a.ixp, b.ixp) << i;
+      EXPECT_EQ(a.vpi, b.vpi) << i;
+      EXPECT_EQ(a.confidence, b.confidence) << i;
+    }
+
+    const QueryEngine from_view(view);
+    const QueryEngine from_index(index);
+    for (const QueryRequest& request :
+         testfx::every_request(oracle.snapshot())) {
+      const QueryResponse want = oracle.execute(request);
+      EXPECT_TRUE(testfx::same_response(from_view.execute(request), want))
+          << testfx::describe(request);
+      EXPECT_TRUE(testfx::same_response(from_index.execute(request), want))
+          << testfx::describe(request);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SnapshotV3, FabricViewIsZeroCopyIntoTheMapping) {

@@ -16,7 +16,11 @@ Exit status: 0 when every matched benchmark is within the regression
 threshold, 1 when any regressed beyond it, 2 on usage or schema errors.
 Counter drift (deterministic work counts that changed between the two
 runs) is reported but never fails the comparison — it flags a behaviour
-change for a human to judge, not a perf regression.
+change for a human to judge, not a perf regression. The same holds for
+the host CPU count (`host_cpus`): both files' values are printed, and a
+mismatch or a missing value is flagged, because timings from hosts of
+different sizes do not compare like for like — but it never changes the
+exit status.
 """
 
 import argparse
@@ -69,6 +73,19 @@ def compare_counters(label, base, current, lines):
                          (label, key, base[key], current[key]))
 
 
+def report_host_cpus(base, current):
+    """Prints both host CPU counts; a difference is informational only."""
+    print("host_cpus: baseline %s, current %s" %
+          ("missing" if base is None else base,
+           "missing" if current is None else current))
+    if base is None or current is None:
+        print("  host_cpus missing (informational, not gated): the host "
+              "behind that file is unknown")
+    elif base != current:
+        print("  host_cpus mismatch (informational, not gated): timings "
+              "come from hosts with different CPU counts")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="compare two bench trajectory files per-core")
@@ -88,6 +105,7 @@ def main(argv=None):
     drift = []
     print("bench_compare: %s vs %s (threshold %.0f%%)" %
           (args.baseline, args.current, args.threshold * 100))
+    report_host_cpus(base.get("host_cpus"), current.get("host_cpus"))
     print("%-44s %14s %14s %9s" %
           ("benchmark (per-core)", "baseline", "current", "delta"))
     for name in sorted(set(base_benches) | set(current_benches)):

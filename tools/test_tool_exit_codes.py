@@ -9,7 +9,9 @@ a contract violation either way.
 
 Runs diff_snapshots.py and validate_metrics.py over valid corpus files,
 truncated prefixes, and garbage, asserting the exit status and that
-stderr carries a FAIL diagnostic rather than a traceback.
+stderr carries a FAIL diagnostic rather than a traceback. Also pins
+bench_compare.py's gate: a host CPU count that differs or is missing is
+reported but never changes the exit status.
 """
 import json
 import os
@@ -20,6 +22,7 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIFF = os.path.join(REPO, "tools", "diff_snapshots.py")
 VALIDATE = os.path.join(REPO, "tools", "validate_metrics.py")
+COMPARE = os.path.join(REPO, "tools", "bench_compare.py")
 CORPUS = os.path.join(REPO, "fuzz", "corpus")
 
 failures = []
@@ -30,7 +33,7 @@ def run(argv):
                           text=True)
 
 
-def expect(name, argv, status, stderr_has=None):
+def expect(name, argv, status, stderr_has=None, stdout_has=None):
     result = run(argv)
     if result.returncode != status:
         failures.append("%s: exit %d, expected %d\nstderr: %s"
@@ -44,7 +47,22 @@ def expect(name, argv, status, stderr_has=None):
         failures.append("%s: stderr %r does not mention %r"
                         % (name, result.stderr, stderr_has))
         return
+    if stdout_has and stdout_has not in result.stdout:
+        failures.append("%s: stdout %r does not mention %r"
+                        % (name, result.stdout, stdout_has))
+        return
     print("ok: %s" % name)
+
+
+def write_trajectory(path, ns_per_op, host_cpus):
+    doc = {"schema": "cloudmap-bench-trajectory-v1", "bench": "t",
+           "threads": 1, "counters": {},
+           "benchmarks": [{"name": "BM_T", "iterations": 10,
+                           "ns_per_op": ns_per_op, "threads": 1}]}
+    if host_cpus is not None:
+        doc["host_cpus"] = host_cpus
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
 
 
 def main():
@@ -93,6 +111,21 @@ def main():
         expect("validate: missing file exits 2",
                [VALIDATE, os.path.join(tmp, "no-such.json")], 2,
                stderr_has="FAIL")
+
+        on_one = os.path.join(tmp, "BENCH_one.json")
+        on_four = os.path.join(tmp, "BENCH_four.json")
+        unknown = os.path.join(tmp, "BENCH_unknown.json")
+        slower = os.path.join(tmp, "BENCH_slower.json")
+        write_trajectory(on_one, 100.0, 1)
+        write_trajectory(on_four, 100.0, 4)
+        write_trajectory(unknown, 100.0, None)
+        write_trajectory(slower, 200.0, 4)
+        expect("compare: host_cpus mismatch is reported, exits 0",
+               [COMPARE, on_one, on_four], 0, stdout_has="host_cpus mismatch")
+        expect("compare: missing host_cpus is reported, exits 0",
+               [COMPARE, unknown, on_four], 0, stdout_has="host_cpus missing")
+        expect("compare: a regression still exits 1 across hosts",
+               [COMPARE, on_one, slower], 1, stdout_has="REGRESSION")
 
     if failures:
         for failure in failures:
