@@ -1,7 +1,7 @@
 // Engine microbenchmarks (google-benchmark): the hot paths behind the
 // reproduction — trie lookups, hop annotation, path computation, full
-// traceroutes, BGP table computation, world generation, and the parallel
-// campaign's thread-scaling curve.
+// traceroutes, BGP table computation, world generation, the snapshot/frame
+// CRC, and the parallel campaign's thread-scaling curve.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,6 +12,7 @@
 #include "controlplane/bgp.h"
 #include "core/pipeline.h"
 #include "dataplane/traceroute.h"
+#include "io/snapshot.h"
 #include "query/engine.h"
 #include "query/fabric_index.h"
 #include "topology/generator.h"
@@ -222,6 +223,21 @@ void BM_RttToInterface(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RttToInterface);
+
+// CRC-32 over a buffer the size of one large serve reply frame (16 KiB)
+// and of one paper-shaped v3 snapshot (2.6 MB): the check every frame, every
+// mapped snapshot and every shard file pays.
+void BM_SnapshotCrc32(benchmark::State& state) {
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t seed_state = 1;
+  for (unsigned char& b : bytes)
+    b = static_cast<unsigned char>(splitmix64(seed_state));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(snapshot_crc32(bytes.data(), bytes.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SnapshotCrc32)->Arg(16 << 10)->Arg(2'600'000);
 
 // Console reporter that also records every completed run for the bench
 // trajectory artifacts. Families split by benchmark name so one invocation

@@ -349,19 +349,37 @@ bool fail(std::string* error, const std::string& message) {
 }  // namespace
 
 std::uint32_t snapshot_crc32(const unsigned char* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[0] is the classic reflected byte table; t[k][i] is the
+  // CRC of byte i followed by k zero bytes, so one step folds eight input
+  // bytes with eight independent lookups. Words are assembled from bytes
+  // explicitly, so the loop is endian-neutral and needs no alignment.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables t = [] {
+    Tables tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
+      }
+    return tables;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo =
+        crc ^ (std::uint32_t{data[0]} | std::uint32_t{data[1]} << 8 |
+               std::uint32_t{data[2]} << 16 | std::uint32_t{data[3]} << 24);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][data[4]] ^
+          t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+  }
+  for (; size > 0; ++data, --size)
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -4,8 +4,11 @@
 // (io/mapped_snapshot.h) or encoded in memory by a FabricIndex
 // (query/fabric_index.h) — so both paths answer from the same index arrays.
 //
-// Results are handed out as Span32 views into backend-owned storage: valid
-// for the lifetime of the backend, never null (empty spans have size 0).
+// The aggregate answers (FabricCounts, ConfidenceHistogram) are computed
+// once, when the backend is built, and handed out by reference; the
+// threshold list is one scan of the segment array. Every other result is
+// handed out as a Span32 view into backend-owned storage: valid for the
+// lifetime of the backend, never null (empty spans have size 0).
 // All methods are const and thread-safe after construction.
 #pragma once
 
@@ -15,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/grouping.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
 
@@ -68,6 +72,30 @@ struct ConfidenceHistogram {
   double max = 0.0;
 };
 
+// Aggregate answers in the shape of the paper's tables: interface totals
+// per confirmation class (Tables 1/2), the VPI overlap (Table 4), and the
+// six-group peering breakdown (Table 5), plus the §6 pinning coverage.
+// Precomputed when the backend is built.
+struct FabricCounts {
+  std::size_t segments = 0;
+  std::size_t unique_abis = 0;
+  std::size_t unique_cbis = 0;
+  std::size_t peer_ases = 0;
+  std::size_t peer_orgs = 0;
+  std::array<std::size_t, 5> by_confirmation{};  // indexed by Confirmation
+  std::size_t ixp_segments = 0;   // public peerings (CBI on an IXP LAN)
+  std::size_t vpi_cbis = 0;       // unique CBIs in the multi-cloud overlap
+  std::array<std::size_t, kPeeringGroupCount> group_segments{};
+  std::array<std::size_t, kPeeringGroupCount> group_ases{};
+  std::size_t unattributed_segments = 0;
+  std::size_t pinned_interfaces = 0;   // metro-level pins
+  std::size_t regional_only = 0;       // regional fallback entries
+  // Confidence aggregates (v2+ snapshots; zero for v1, where every segment
+  // scores 0).
+  double mean_confidence = 0.0;
+  std::size_t confident_segments = 0;  // confidence >= 0.5
+};
+
 class FabricBackend {
  public:
   virtual ~FabricBackend() = default;
@@ -90,14 +118,12 @@ class FabricBackend {
   // Longest-prefix lookup of an arbitrary address against the fabric.
   virtual std::optional<BackendHit> find(Ipv4 address) const = 0;
 
-  // Segment indices with confidence >= min_confidence, ascending.
+  // Segment indices whose confidence is not below min_confidence,
+  // ascending (a NaN threshold excludes nothing).
   virtual std::vector<std::uint32_t> min_confidence_list(
       double min_confidence) const = 0;
   virtual const ConfidenceHistogram& histogram() const = 0;
-
-  // Aggregate totals the counts query folds in.
-  virtual std::size_t pin_total() const = 0;
-  virtual std::size_t regional_total() const = 0;
+  virtual const FabricCounts& counts() const = 0;
 };
 
 }  // namespace cloudmap

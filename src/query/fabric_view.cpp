@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "query/snapshot.h"
+
 namespace cloudmap {
 
 namespace {
@@ -18,14 +20,19 @@ constexpr std::uint8_t kTrieCbi = 0x04;
 
 FabricView::FabricView(const unsigned char* blob)
     : v_(snapv3::V3View::over(blob)) {
+  // One pass over the segment array feeds the histogram and the per-segment
+  // counts; the "unique" counts then come from the blob's sorted tables.
   const std::uint32_t total = v_.dir->segment_count;
   histogram_.segments = total;
+  counts_.segments = total;
+  std::vector<std::uint32_t> orgs;  // the only count with a scratch set
   if (total > 0) {
-    double sum = 0.0;
+    double sum = 0.0;  // in index order, so both means are reproducible
     histogram_.min = v_.segments[0].confidence;
     histogram_.max = histogram_.min;
     for (std::uint32_t i = 0; i < total; ++i) {
-      const double score = v_.segments[i].confidence;
+      const snapv3::V3Segment& seg = v_.segments[i];
+      const double score = seg.confidence;
       sum += score;
       histogram_.min = std::min(histogram_.min, score);
       histogram_.max = std::max(histogram_.max, score);
@@ -33,9 +40,59 @@ FabricView::FabricView(const unsigned char* blob)
       if (bin >= histogram_.bins.size())
         bin = histogram_.bins.size() - 1;  // score == 1.0
       ++histogram_.bins[bin];
+      if (score >= 0.5) ++counts_.confident_segments;
+      ++counts_.by_confirmation[seg.confirmation];
+      if ((seg.flags & kSegIxp) != 0) ++counts_.ixp_segments;
+      if (seg.group == kSnapshotNoGroup)
+        ++counts_.unattributed_segments;
+      else
+        ++counts_.group_segments[seg.group];
+      if (seg.peer_asn == 0 && seg.peer_org != 0)
+        orgs.push_back(seg.peer_org);  // known peers' orgs come below
     }
     histogram_.mean = sum / static_cast<double>(total);
+    counts_.mean_confidence = histogram_.mean;
   }
+  // Each /32 LPM row is one distinct interface address; its flags say
+  // whether some segment uses it as ABI or as CBI. It is a VPI CBI when a
+  // VPI segment in its list has it as the CBI (the list also holds the
+  // segments that use it as ABI).
+  const snapv3::V3Span hosts = v_.dir->trie_by_len[32];
+  for (std::uint32_t k = 0; k < hosts.len; ++k) {
+    const snapv3::V3TrieEntry& row = v_.trie[hosts.off + k];
+    if ((row.flags & kTrieAbi) != 0) ++counts_.unique_abis;
+    if ((row.flags & kTrieCbi) == 0) continue;
+    ++counts_.unique_cbis;
+    for (const std::uint32_t i : pool_span(row.segments)) {
+      const snapv3::V3Segment& seg = v_.segments[i];
+      if ((seg.flags & kSegVpi) != 0 && seg.cbi == row.network) {
+        ++counts_.vpi_cbis;
+        break;
+      }
+    }
+  }
+
+  // by_peer holds every segment of each known peer AS: a bitmask of the
+  // groups its segments fall in counts the AS once per group, and its
+  // segments' orgs (almost always one) join the scratch list.
+  for (std::uint32_t k = 0; k < v_.dir->by_peer_count; ++k) {
+    unsigned groups = 0;
+    for (const std::uint32_t i : pool_span(v_.by_peer[k].span)) {
+      const snapv3::V3Segment& seg = v_.segments[i];
+      if (seg.group != kSnapshotNoGroup) groups |= 1u << seg.group;
+      if (seg.peer_org != 0 && (orgs.empty() || orgs.back() != seg.peer_org))
+        orgs.push_back(seg.peer_org);
+    }
+    for (std::size_t g = 0; g < kPeeringGroupCount; ++g)
+      if ((groups >> g & 1u) != 0) ++counts_.group_ases[g];
+  }
+  std::sort(orgs.begin(), orgs.end());
+  counts_.peer_orgs = static_cast<std::size_t>(
+      std::unique(orgs.begin(), orgs.end()) - orgs.begin());
+
+  counts_.peer_ases = v_.dir->peer_asns.len;
+  counts_.pinned_interfaces = v_.dir->pin_count;
+  counts_.regional_only = v_.dir->regional_count;
 }
 
 SegmentFacts FabricView::segment(std::uint32_t index) const {
@@ -106,14 +163,19 @@ std::optional<BackendHit> FabricView::find(Ipv4 address) const {
 
 std::vector<std::uint32_t> FabricView::min_confidence_list(
     double min_confidence) const {
+  const auto kept = [&](std::uint32_t i) {
+    return !(v_.segments[i].confidence < min_confidence);
+  };
+  // conf_order is descending, so the kept segments are its prefix: a binary
+  // search sizes the result, and a scan in index order fills it ascending.
   const Span32 order = pool_span(v_.dir->conf_order);
   std::vector<std::uint32_t> out;
-  for (const std::uint32_t i : order) {
-    if (v_.segments[i].confidence < min_confidence)
-      break;  // descending: nothing further matches
-    out.push_back(i);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(static_cast<std::size_t>(
+      std::partition_point(order.begin(), order.end(), kept) -
+      order.begin()));
+  const std::uint32_t total = v_.dir->segment_count;
+  for (std::uint32_t i = 0; i < total; ++i)
+    if (kept(i)) out.push_back(i);
   return out;
 }
 

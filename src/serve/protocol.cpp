@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -286,12 +287,13 @@ bool write_frame(int fd, MsgType type, const std::string& payload) {
   return write_all(fd, frame.data(), frame.size());
 }
 
-bool read_frame(int fd, Frame& frame) {
+bool read_frame(int fd, Frame& frame, std::uint32_t max_payload) {
   unsigned char length_bytes[4];
   if (!read_exact(fd, length_bytes, 4)) return false;
   Cursor length_cursor{length_bytes, 4, 0};
   const std::uint32_t length = length_cursor.u32();
-  if (length < 5 || length > kMaxFramePayload + 5) return false;
+  const std::uint32_t cap = std::min(max_payload, kMaxFramePayload);
+  if (length < 5 || length > cap + 5) return false;
   std::string body(4 + std::size_t{length}, '\0');
   std::memcpy(body.data(), length_bytes, 4);
   if (!read_exact(fd,

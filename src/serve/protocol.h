@@ -36,8 +36,13 @@ enum class MsgType : std::uint8_t {
   kError = 7,  // payload: diagnostic string (u32 length + bytes)
 };
 
-// Refuse absurd frames before allocating for them.
+// Refuse absurd frames before allocating for them. Replies (a kMinConfidence
+// list with briefs over a large fabric) may approach this; requests never
+// do, so the daemon reads them under the much smaller request cap: an
+// encoded QueryRequest is 22 bytes and a kSwap path is at most PATH_MAX
+// (4 KiB) plus its u32 length.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
+inline constexpr std::uint32_t kMaxRequestPayload = 8u << 10;
 
 struct Frame {
   MsgType type = MsgType::kPing;
@@ -91,8 +96,9 @@ bool decode_text(const std::string& payload, std::string& text);
 
 // Blocking full-frame send/receive over a connected socket. Both return
 // false on EOF or error; read_frame also returns false on a corrupt frame
-// (callers drop the connection either way).
+// and, before allocating or reading any payload, on a header declaring more
+// than `max_payload` payload bytes (callers drop the connection either way).
 bool write_frame(int fd, MsgType type, const std::string& payload);
-bool read_frame(int fd, Frame& frame);
+bool read_frame(int fd, Frame& frame, std::uint32_t max_payload);
 
 }  // namespace cloudmap::serve

@@ -210,7 +210,9 @@ void Server::accept_loop() {
 
 void Server::handle_client(int fd, std::size_t slot) {
   Frame frame;
-  while (read_frame(fd, frame)) {
+  // Requests are small: a header declaring more is dropped before a payload
+  // byte is read or a buffer allocated for it.
+  while (read_frame(fd, frame, kMaxRequestPayload)) {
     switch (frame.type) {
       case MsgType::kQuery: {
         QueryRequest request;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -67,9 +68,10 @@ class QueryOracle {
         if (request.want_briefs) add_briefs(out);
         return out;
       case QueryKind::kMinConfidence:
+        // "Not below the threshold": a NaN threshold excludes nothing.
         for (std::uint32_t i = 0; i < segment_count; ++i)
-          if (snap_.segments[i].confidence >=
-              std::max(request.min_confidence, 0.0))
+          if (!(snap_.segments[i].confidence <
+                std::max(request.min_confidence, 0.0)))
             out.items.push_back(i);
         if (request.want_briefs) add_briefs(out);
         return out;
@@ -200,8 +202,9 @@ class QueryOracle {
 
 // A request set that reaches every QueryKind and every branch of it: each
 // peer and metro plus absent ones, every interface address, a host inside
-// every destination /24, misses, and thresholds on every filtering kind —
-// each request once plain and once with briefs.
+// every destination /24, misses, and thresholds on every filtering kind
+// (the edge values -0.0, +inf and NaN included) — each request once plain
+// and once with briefs.
 inline std::vector<QueryRequest> every_request(const RunSnapshot& snapshot) {
   std::vector<QueryRequest> out;
   const auto add = [&out](QueryRequest request) {
@@ -209,7 +212,9 @@ inline std::vector<QueryRequest> every_request(const RunSnapshot& snapshot) {
     request.want_briefs = true;
     out.push_back(request);
   };
-  const double thresholds[] = {-1.0, 0.0, 0.25, 0.5, 0.6, 0.9, 1.0};
+  using limits = std::numeric_limits<double>;
+  const double thresholds[] = {-1.0, -0.0, 0.0, 0.25, 0.5, 0.6, 0.9, 1.0,
+                               limits::infinity(), limits::quiet_NaN()};
   for (const QueryKind kind :
        {QueryKind::kCounts, QueryKind::kPeerList,
         QueryKind::kConfidenceHistogram}) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -185,6 +186,141 @@ TEST(QueryEngine, MinConfidenceMatchesBruteForce) {
   EXPECT_GE(at_least(0.3).size(), at_least(0.6).size());
   // Every call above bumped the counter: 6 thresholds + 3 shape checks.
   EXPECT_EQ(registry.counter_value("query.min_confidence"), 9u);
+}
+
+// Thresholds at the edges of the score range, and at every score a segment
+// actually carries (where a ">=" slipping to ">" would show).
+TEST(QueryEngine, MinConfidenceAtEdgeThresholds) {
+  const QueryEngine engine(shared_index());
+  std::vector<double> thresholds = {
+      std::numeric_limits<double>::quiet_NaN(), -0.0, -1.0,
+      std::numeric_limits<double>::infinity(), 1.0};
+  for (const SnapshotSegment& seg : segments())
+    thresholds.push_back(seg.confidence);
+  for (const double threshold : thresholds) {
+    const QueryRequest request{.kind = kMinConfidence,
+                               .min_confidence = threshold};
+    EXPECT_EQ(engine.execute(request).items, oracle().execute(request).items)
+        << "threshold " << threshold;
+  }
+  const auto at_least = [&engine](double threshold) {
+    return engine
+        .execute({.kind = kMinConfidence, .min_confidence = threshold})
+        .items.size();
+  };
+  // NaN compares false against every score, so nothing is "below" it.
+  EXPECT_EQ(at_least(std::numeric_limits<double>::quiet_NaN()),
+            segments().size());
+  EXPECT_EQ(at_least(-0.0), segments().size());
+  EXPECT_EQ(at_least(-1.0), segments().size());
+  EXPECT_EQ(at_least(std::numeric_limits<double>::infinity()), 0u);
+}
+
+// A fabric built so that each "unique" count has a trap: one ABI shared by
+// three segments, a CBI in both a VPI and a non-VPI segment, an address
+// that is a non-VPI segment's CBI and a VPI segment's ABI, one peer AS in
+// two groups, and an unknown peer AS with a known org. Scores sit exactly
+// on the thresholds the test asks for.
+RunSnapshot counts_snapshot() {
+  RunSnapshot s;
+  const auto segment = [&s](Ipv4 abi, Ipv4 cbi, std::uint32_t asn,
+                            std::uint32_t org, std::uint8_t group,
+                            double confidence) -> SnapshotSegment& {
+    SnapshotSegment seg;
+    seg.abi = abi;
+    seg.cbi = cbi;
+    seg.peer_asn = Asn{asn};
+    seg.peer_org = OrgId{org};
+    seg.group = group;
+    seg.confidence = confidence;
+    return s.segments.emplace_back(seg);
+  };
+  segment(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 1, 1), 64500, 100, 0, 0.5).vpi =
+      true;
+  segment(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 1, 2), 64500, 100, 2, 0.25)
+      .confirmation = Confirmation::kHybrid;
+  segment(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 1, 3), 64501, 101, 0, 0.75)
+      .confirmation = Confirmation::kHybrid;
+  segment(Ipv4(10, 0, 0, 2), Ipv4(10, 0, 1, 1), 64501, 101, 0, 0.75)
+      .confirmation = Confirmation::kReachability;
+  SnapshotSegment& vpi_abi =
+      segment(Ipv4(10, 0, 1, 2), Ipv4(10, 0, 2, 1), 0, 102,
+              kSnapshotNoGroup, 1.0);
+  vpi_abi.vpi = true;
+  vpi_abi.confirmation = Confirmation::kAliasRelabel;
+  SnapshotSegment& ixp =
+      segment(Ipv4(10, 0, 0, 3), Ipv4(10, 0, 2, 2), 64502, 101, 5, 0.0);
+  ixp.ixp = true;
+  ixp.confirmation = Confirmation::kIxpClient;
+  s.pins = {{0x0A000001u, 3, 0, 0, 0}, {0x0A000101u, 4, 0, 0, 1}};
+  s.regional = {{0x0A000003u, 2}};
+  return s;
+}
+
+QueryResponse counts_response(const FabricCounts& counts) {
+  QueryResponse response;
+  response.kind = kCounts;
+  response.counts = counts;
+  return response;
+}
+
+TEST(QueryEngine, CountsOnHandBuiltFabric) {
+  const FabricIndex index(counts_snapshot());
+  const QueryEngine engine(index);
+  const FabricCounts counts = *engine.execute({.kind = kCounts}).counts;
+
+  FabricCounts want;
+  want.segments = 6;
+  want.unique_abis = 4;  // .0.1 (three segments), .0.2, .1.2, .0.3
+  want.unique_cbis = 5;  // .1.1 (two segments), .1.2, .1.3, .2.1, .2.2
+  want.peer_ases = 3;    // 64500, 64501, 64502; the unknown AS is not one
+  want.peer_orgs = 3;    // 100, 101, 102 (the unknown AS's org counts)
+  want.by_confirmation = {1, 1, 2, 1, 1};
+  want.ixp_segments = 1;
+  // .1.1 (VPI in one segment, not in another) and .2.1; .1.2 is a CBI only
+  // of a non-VPI segment, though a VPI segment uses it as its ABI.
+  want.vpi_cbis = 2;
+  want.group_segments = {3, 0, 1, 0, 0, 1};
+  want.group_ases = {2, 0, 1, 0, 0, 1};  // 64500 in groups 0 and 2
+  want.unattributed_segments = 1;
+  want.pinned_interfaces = 2;
+  want.regional_only = 1;
+  want.mean_confidence = (0.5 + 0.25 + 0.75 + 0.75 + 1.0 + 0.0) / 6.0;
+  want.confident_segments = 4;
+  const testfx::QueryOracle oracle(counts_snapshot());
+  EXPECT_TRUE(testfx::same_response(engine.execute({.kind = kCounts}),
+                                    counts_response(want)));
+  EXPECT_TRUE(testfx::same_response(engine.execute({.kind = kCounts}),
+                                    oracle.execute({.kind = kCounts})));
+  EXPECT_EQ(counts.group_ases, want.group_ases);
+  EXPECT_EQ(counts.vpi_cbis, want.vpi_cbis);
+
+  for (const QueryRequest& request :
+       testfx::every_request(oracle.snapshot()))
+    EXPECT_TRUE(testfx::same_response(engine.execute(request),
+                                      oracle.execute(request)))
+        << testfx::describe(request);
+  for (const double threshold : {0.0, 0.25, 0.5, 0.75, 1.0})
+    EXPECT_EQ(engine.execute({.kind = kMinConfidence,
+                              .min_confidence = threshold})
+                  .items,
+              oracle.execute({.kind = kMinConfidence,
+                              .min_confidence = threshold})
+                  .items)
+        << "threshold " << threshold;
+}
+
+TEST(QueryEngine, CountsOnEmptyFabric) {
+  const FabricIndex index{RunSnapshot{}};
+  const QueryEngine engine(index);
+  const testfx::QueryOracle oracle{RunSnapshot{}};
+  for (const QueryRequest& request :
+       testfx::every_request(oracle.snapshot()))
+    EXPECT_TRUE(testfx::same_response(engine.execute(request),
+                                      oracle.execute(request)))
+        << testfx::describe(request);
+  EXPECT_TRUE(testfx::same_response(engine.execute({.kind = kCounts}),
+                                    counts_response(FabricCounts{})));
 }
 
 TEST(QueryEngine, ConfidenceHistogramCoversEverySegment) {

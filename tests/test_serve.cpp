@@ -3,10 +3,18 @@
 // tests/test_serialize_corrupt.cpp and the snapshot container), the payload
 // codecs are lossless for every QueryResponse shape, a loopback server
 // answers each query class identically to a local engine, refuses clients
-// past max_clients, and — the RCU claim — hot-swaps snapshots under
-// concurrent load with zero dropped or torn queries. Suite name matches the
-// CI TSan filter, so the reader/swapper races here run under the sanitizer.
+// past max_clients, drops a client whose request header declares an
+// oversized frame without stalling the others, and — the RCU claim —
+// hot-swaps snapshots under concurrent load with zero dropped or torn
+// queries. Suite name matches the CI TSan filter, so the reader/swapper
+// races here run under the sanitizer.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdint>
@@ -315,6 +323,62 @@ TEST(Serve, ManyShortLivedConnectionsKeepStateBounded) {
       << "per-connection state grew with connection count";
   const serve::ServerStats stats = server.stats();
   EXPECT_EQ(stats.failed, 0u);
+  server.stop();
+  std::remove(path.c_str());
+}
+
+TEST(Serve, ServerDropsOversizedRequestAtTheHeader) {
+  // A client that declares a 1 MiB request must be dropped as soon as its
+  // four length bytes arrive — no buffer sized from the header, no wait for
+  // a payload that never comes — while another client keeps being served.
+  const std::string path =
+      write_snapshot(testfx::small_pipeline(), "serve_oversize.snap");
+  serve::Server server({/*port=*/0, /*max_clients=*/8});
+  std::string error;
+  ASSERT_TRUE(server.start(path, &error)) << error;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // A receive timeout turns "the server waits for the payload" into a
+  // failed assertion instead of a hung test.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::uint32_t length = (1u << 20) + 5;  // type + 1 MiB + CRC
+  const unsigned char header[4] = {
+      static_cast<unsigned char>(length),
+      static_cast<unsigned char>(length >> 8),
+      static_cast<unsigned char>(length >> 16),
+      static_cast<unsigned char>(length >> 24)};
+  ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 4);
+
+  auto client = serve::Client::connect("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(client.has_value()) << error;
+  for (int i = 0; i < 3; ++i) {
+    QueryResponse response;
+    ASSERT_TRUE(client->query({.kind = QueryKind::kCounts}, response, &error))
+        << error;
+    EXPECT_EQ(response.status, QueryStatus::kOk);
+  }
+
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "the oversized request was not "
+                                           "dropped at its header";
+  ::close(fd);
+  // The request cap still admits every real request, a long swap path
+  // included (this one does not exist, so the swap is refused, not dropped).
+  EXPECT_FALSE(client->swap("/" + std::string(4000, 'x'), &error));
+  EXPECT_EQ(error.find("connection lost"), std::string::npos) << error;
+  EXPECT_TRUE(client->ping(&error)) << error;
   server.stop();
   std::remove(path.c_str());
 }

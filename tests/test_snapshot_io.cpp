@@ -3,10 +3,12 @@
 // diagnostic, never a crash or a silent partial load.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fixtures.h"
 #include "io/snapshot.h"
@@ -212,6 +214,42 @@ TEST(SnapshotIo, RejectsConfidenceOutOfRangeWithValidCrc) {
   std::string error;
   EXPECT_FALSE(load_snapshot(in, &error).has_value());
   EXPECT_NE(error.find("section 6"), std::string::npos) << error;
+}
+
+// The textbook byte-at-a-time CRC-32, kept here only as the reference the
+// library's word-at-a-time version must agree with.
+std::uint32_t bytewise_crc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotIo, Crc32KnownAnswer) {
+  const char check[] = "123456789";
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const unsigned char*>(check), 9),
+            0xCBF43926u);
+  EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotIo, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  std::vector<unsigned char> bytes(64 + 8 + 4096);
+  std::uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 64; ++length)
+      EXPECT_EQ(snapshot_crc32(bytes.data() + offset, length),
+                bytewise_crc32(bytes.data() + offset, length))
+          << "offset " << offset << " length " << length;
+  // A long run, with a tail that is not a whole number of words.
+  EXPECT_EQ(snapshot_crc32(bytes.data() + 3, bytes.size() - 3),
+            bytewise_crc32(bytes.data() + 3, bytes.size() - 3));
 }
 
 TEST(SnapshotIo, SaveLoadSaveIsByteIdentical) {
