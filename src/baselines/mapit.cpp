@@ -71,9 +71,8 @@ MapitScore score_mapit(const World& world, const MapitResult& result,
       world.ases[world.cloud_primary(subject).value].org;
   std::unordered_set<std::uint32_t> far_interfaces;
   for (const MapitEdge& edge : result.edges) {
-    const auto near_it = world.as_by_asn.find(edge.near_as.value);
-    if (near_it == world.as_by_asn.end()) continue;
-    if (world.ases[near_it->second.value].org != subject_org) continue;
+    const AsId near = world.find_as(edge.near_as);
+    if (!near.valid() || world.ases[near.value].org != subject_org) continue;
     far_interfaces.insert(edge.far_interface.value());
   }
   for (const GroundTruthInterconnect& ic : world.interconnects) {

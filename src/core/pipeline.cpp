@@ -434,9 +434,8 @@ PeeringClassifier Pipeline::classifier() {
 }
 
 std::uint64_t Pipeline::cone_of(Asn asn) const {
-  const auto it = world_->as_by_asn.find(asn.value);
-  if (it == world_->as_by_asn.end()) return 0;
-  return cones_[it->second.value];
+  const AsId id = world_->find_as(asn);
+  return id.valid() ? cones_[id.value] : 0;
 }
 
 InferenceScore Pipeline::score() const {

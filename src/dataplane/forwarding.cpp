@@ -1,10 +1,11 @@
+// lint: hot-path
 #include "dataplane/forwarding.h"
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "net/geo.h"
-#include "net/prefix_trie.h"
 #include "util/rng.h"
 
 namespace cloudmap {
@@ -29,9 +30,6 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
   }
   intra_links_.freeze();
   inter_as_links_.freeze();
-  for (const auto& [address, iface] : world.interface_by_ip)
-    iface_by_ip_.insert(address, iface);
-  iface_by_ip_.freeze();
   // Announced-prefix origin table (the BGP ground truth; collector snapshots
   // are a filtered view of this).
   for (const AutonomousSystem& as : world.ases)
@@ -40,26 +38,36 @@ Forwarder::Forwarder(const World& world, const BgpSimulator& sim)
   announced_origin_.freeze();
 
   // Cloud FIBs: per-interconnect announcements plus exact /32 routes for
-  // both interconnect endpoints. Accumulated in a binary trie (incremental
-  // at_or_default), then flattened for the lookup path.
-  PrefixTrie<FibEntry> fib_build[kCloudProviderCount];
+  // both interconnect endpoints, staged as (prefix, egress) rows. A stable
+  // sort groups each prefix's rows in push order, one FibEntry per prefix.
+  std::vector<std::pair<Prefix, LinkId>> fib_rows[kCloudProviderCount];
   for (std::uint32_t i = 0; i < world.interconnects.size(); ++i) {
     const GroundTruthInterconnect& ic = world.interconnects[i];
     if (ic.private_address) continue;
-    auto& fib = fib_build[static_cast<int>(ic.cloud)];
-    const Ipv4 client_addr = world.interfaces[ic.client_interface.value].address;
-    for (const Prefix& prefix : ic.announced_to_cloud) {
-      fib.at_or_default(prefix).egress.push_back(ic.link);
+    auto& rows = fib_rows[static_cast<int>(ic.cloud)];
+    auto add = [&](const Prefix& prefix) {
+      rows.emplace_back(prefix, ic.link);
       if (ic.secondary_link.valid())
-        fib.at_or_default(prefix).egress.push_back(ic.secondary_link);
-    }
-    fib.at_or_default(Prefix(client_addr, 32)).egress.push_back(ic.link);
-    if (ic.secondary_link.valid())
-      fib.at_or_default(Prefix(client_addr, 32))
-          .egress.push_back(ic.secondary_link);
+        rows.emplace_back(prefix, ic.secondary_link);
+    };
+    for (const Prefix& prefix : ic.announced_to_cloud) add(prefix);
+    add(Prefix(world.interfaces[ic.client_interface.value].address, 32));
   }
-  for (int p = 0; p < static_cast<int>(kCloudProviderCount); ++p)
-    cloud_fib_[p] = FlatPrefixTrie<FibEntry>::from(fib_build[p]);
+  for (int p = 0; p < static_cast<int>(kCloudProviderCount); ++p) {
+    auto& rows = fib_rows[p];
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i < rows.size();) {
+      FibEntry entry;
+      const Prefix prefix = rows[i].first;
+      for (; i < rows.size() && rows[i].first == prefix; ++i)
+        entry.egress.push_back(rows[i].second);
+      cloud_fib_[p].insert(prefix, std::move(entry));
+    }
+    cloud_fib_[p].freeze();
+  }
 
   // Per-link egress metadata for the choose_egress scan.
   link_border_router_.resize(world.links.size());
@@ -237,8 +245,7 @@ PathOutcome Forwarder::walk_client_side(RouterId entry, Ipv4 dst,
   const Asn* origin_asn = announced_origin_.lookup(dst);
   AsId origin{};
   if (origin_asn != nullptr) {
-    const auto it = world_->as_by_asn.find(origin_asn->value);
-    if (it != world_->as_by_asn.end()) origin = it->second;
+    origin = world_->find_as(*origin_asn);
   } else if (dst_iface.valid()) {
     // Unannounced interconnect space: deliverable only when the walk is
     // already inside the owning AS (no BGP route exists toward it).
@@ -314,8 +321,7 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
   out.egress_interconnect = LinkId{};
   // One address-table probe per path; every consumer below (and the
   // traceroute engine, via the result) reads this copy.
-  const InterfaceId* found = iface_by_ip_.find(dst.value());
-  const InterfaceId dst_iface = found == nullptr ? InterfaceId{} : *found;
+  const InterfaceId dst_iface = world_->find_interface(dst);
   out.dst_interface = dst_iface;
   if (vp.is_cloud()) {
     const Region& region = world_->region(vp.region);
@@ -328,12 +334,9 @@ void Forwarder::path_into(const VantagePoint& vp, Ipv4 dst, ForwardPath& out,
     if (entry != nullptr && !entry->egress.empty()) {
       // Prefer a direct route to the destination's origin AS over transit
       // re-announcements of the same prefix, then hot-potato.
-      AsId direct_origin{};
       const Asn* origin_asn = announced_origin_.lookup(dst);
-      if (origin_asn != nullptr) {
-        const auto as_it = world_->as_by_asn.find(origin_asn->value);
-        if (as_it != world_->as_by_asn.end()) direct_origin = as_it->second;
-      }
+      const AsId direct_origin =
+          origin_asn != nullptr ? world_->find_as(*origin_asn) : AsId{};
       const LinkId egress =
           choose_egress(vp.region, entry->egress, flow, direct_origin);
       const Link& l = world_->link(egress);

@@ -8,6 +8,7 @@
 //     Gao-Rexford best paths for the non-cloud part of the walk;
 //   * router level — region core → backbone mesh → (aggregation) border
 //     chains inside a cloud, full-mesh IGP hops inside client ASes.
+// lint: hot-path
 #pragma once
 
 #include <cstdint>
@@ -125,9 +126,6 @@ class Forwarder {
   FlatPrefixTrie<Asn> announced_origin_;  // all announced prefixes → origin
   FlatHashMap<std::uint64_t, LinkId> intra_links_;
   FlatHashMap<std::uint64_t, LinkId> inter_as_links_;
-  // World::find_interface re-indexed into the flat probe table (built once,
-  // the world is immutable for the forwarder's lifetime).
-  FlatHashMap<std::uint32_t, InterfaceId> iface_by_ip_;
   // Memoized great-circle distances, [region * routers.size() + router]:
   // from the region core (backbone-climb scoring) and from the region's
   // metro (hot-potato egress choice). Entries are the exact doubles

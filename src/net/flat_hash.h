@@ -1,4 +1,5 @@
-// Open-addressed hash map for the forwarding hot path. libstdc++'s
+// Open-addressed hash map for the forwarding hot path (the World's address
+// and ASN indices, the forwarder's link indices). libstdc++'s
 // unordered_map is node-based: every find chases a bucket pointer into a
 // heap node, which is a guaranteed cache miss on the (common) negative
 // probe. This map keeps keys and values in two flat arrays with linear
@@ -6,9 +7,10 @@
 //
 // Usage contract, mirroring FlatPrefixTrie: insert() while building, then
 // freeze() exactly once; find() is valid only on a frozen map. Key 0 is
-// reserved as the empty-slot sentinel and must never be inserted — both
-// callers satisfy this structurally (interface addresses are non-zero, and
-// router/AS pair keys would require a self-link between id-0 entities).
+// reserved as the empty-slot sentinel and must never be inserted — every
+// caller satisfies this structurally: interface addresses are indexed only
+// when specified (non-zero), ASNs start above zero, and router/AS pair keys
+// would require a self-link between id-0 entities.
 // Duplicate keys keep the first insertion, matching unordered_map::emplace.
 //
 // lint: hot-path

@@ -64,7 +64,7 @@ bool Client::roundtrip(MsgType type, const std::string& payload, Frame& reply,
   if (fd_ < 0) return set_error(error, "serve: not connected");
   if (!write_frame(fd_, type, payload))
     return set_error(error, "serve: connection lost while sending");
-  if (!read_frame(fd_, reply, kMaxFramePayload))
+  if (read_frame(fd_, reply, kMaxFramePayload) != FrameStatus::kOk)
     return set_error(error, "serve: connection lost while receiving");
   if (reply.type == MsgType::kError) {
     std::string message;

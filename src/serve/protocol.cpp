@@ -100,19 +100,20 @@ ConfidenceHistogram get_histogram(Cursor& in) {
   return histogram;
 }
 
-// Read exactly `size` bytes; false on EOF or error.
-bool read_exact(int fd, unsigned char* into, std::size_t size) {
+// Read until `size` bytes arrived or the connection ended (orderly EOF or
+// error); returns how many bytes arrived.
+std::size_t read_up_to(int fd, unsigned char* into, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
     const ssize_t n = ::recv(fd, into + done, size - done, 0);
-    if (n == 0) return false;  // orderly EOF
+    if (n == 0) break;  // orderly EOF
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      break;
     }
     done += static_cast<std::size_t>(n);
   }
-  return true;
+  return done;
 }
 
 bool write_all(int fd, const char* data, std::size_t size) {
@@ -287,23 +288,25 @@ bool write_frame(int fd, MsgType type, const std::string& payload) {
   return write_all(fd, frame.data(), frame.size());
 }
 
-bool read_frame(int fd, Frame& frame, std::uint32_t max_payload) {
+FrameStatus read_frame(int fd, Frame& frame, std::uint32_t max_payload) {
   unsigned char length_bytes[4];
-  if (!read_exact(fd, length_bytes, 4)) return false;
+  const std::size_t header = read_up_to(fd, length_bytes, 4);
+  if (header == 0) return FrameStatus::kClosed;
+  if (header < 4) return FrameStatus::kCorrupt;
   Cursor length_cursor{length_bytes, 4, 0};
   const std::uint32_t length = length_cursor.u32();
   const std::uint32_t cap = std::min(max_payload, kMaxFramePayload);
-  if (length < 5 || length > cap + 5) return false;
+  if (length < 5 || length > cap + 5) return FrameStatus::kCorrupt;
   std::string body(4 + std::size_t{length}, '\0');
   std::memcpy(body.data(), length_bytes, 4);
-  if (!read_exact(fd,
-                  reinterpret_cast<unsigned char*>(body.data()) + 4,
-                  length))
-    return false;
+  if (read_up_to(fd, reinterpret_cast<unsigned char*>(body.data()) + 4,
+                 length) < length)
+    return FrameStatus::kCorrupt;
   std::size_t consumed = 0;
-  return decode_frame(reinterpret_cast<const unsigned char*>(body.data()),
-                      body.size(), frame, consumed,
-                      nullptr) == FrameStatus::kOk;
+  const FrameStatus status =
+      decode_frame(reinterpret_cast<const unsigned char*>(body.data()),
+                   body.size(), frame, consumed, nullptr);
+  return status == FrameStatus::kOk ? status : FrameStatus::kCorrupt;
 }
 
 }  // namespace cloudmap::serve

@@ -53,6 +53,7 @@ enum class FrameStatus : std::uint8_t {
   kOk = 0,
   kIncomplete = 1,  // fewer bytes than one whole frame: read more
   kCorrupt = 2,     // framing or CRC violation: drop the connection
+  kClosed = 3,      // read_frame only: the peer left at a frame boundary
 };
 
 // Server-side counters returned by kStats; the CI smoke test asserts
@@ -94,11 +95,14 @@ bool decode_text(const std::string& payload, std::string& text);
 
 // --- fd I/O ----------------------------------------------------------------
 
-// Blocking full-frame send/receive over a connected socket. Both return
-// false on EOF or error; read_frame also returns false on a corrupt frame
-// and, before allocating or reading any payload, on a header declaring more
-// than `max_payload` payload bytes (callers drop the connection either way).
+// Blocking full-frame send/receive over a connected socket. write_frame
+// returns false on error. read_frame returns kOk with a whole frame,
+// kClosed when the connection ends before the first byte of a frame, and
+// kCorrupt for a dropped frame: a CRC or framing violation, a connection
+// that ends mid-frame, or — rejected before any payload is allocated or
+// read — a header declaring more than `max_payload` payload bytes.
+// Callers drop the connection on anything but kOk.
 bool write_frame(int fd, MsgType type, const std::string& payload);
-bool read_frame(int fd, Frame& frame, std::uint32_t max_payload);
+FrameStatus read_frame(int fd, Frame& frame, std::uint32_t max_payload);
 
 }  // namespace cloudmap::serve

@@ -29,21 +29,17 @@ Server::Server(Config config, MetricsRegistry* metrics)
 Server::~Server() { stop(); }
 
 std::shared_ptr<const ServedSnapshot> Server::snapshot() const {
-#if defined(__cpp_lib_atomic_shared_ptr)
-  return current_.load(std::memory_order_acquire);
-#else
-  std::lock_guard<std::mutex> lock(current_mutex_);
+  const MutexLock lock(&current_mutex_);
   return current_;
-#endif
 }
 
 void Server::store_snapshot(std::shared_ptr<const ServedSnapshot> next) {
-#if defined(__cpp_lib_atomic_shared_ptr)
-  current_.store(std::move(next), std::memory_order_release);
-#else
-  std::lock_guard<std::mutex> lock(current_mutex_);
-  current_ = std::move(next);
-#endif
+  // Swap under the lock, release outside it: the old snapshot's last
+  // reference may be this one, and unmapping it need not block readers.
+  {
+    const MutexLock lock(&current_mutex_);
+    current_.swap(next);
+  }
 }
 
 bool Server::start(const std::string& snapshot_path, std::string* error) {
@@ -212,7 +208,9 @@ void Server::handle_client(int fd, std::size_t slot) {
   Frame frame;
   // Requests are small: a header declaring more is dropped before a payload
   // byte is read or a buffer allocated for it.
-  while (read_frame(fd, frame, kMaxRequestPayload)) {
+  FrameStatus status;
+  while ((status = read_frame(fd, frame, kMaxRequestPayload)) ==
+         FrameStatus::kOk) {
     switch (frame.type) {
       case MsgType::kQuery: {
         QueryRequest request;
@@ -267,6 +265,10 @@ void Server::handle_client(int fd, std::size_t slot) {
         break;
     }
   }
+  // A close at a frame boundary is a client leaving; anything else (bad
+  // CRC, oversized header, truncated frame) is a dropped frame.
+  if (status != FrameStatus::kClosed)
+    failed_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(clients_mutex_);
     clients_[slot].fd = -1;

@@ -3,18 +3,19 @@
 // immutable, swappable snapshot.
 //
 // Snapshot hot-swap is RCU-style: the current ServedSnapshot (mmap +
-// zero-copy FabricView + QueryEngine) lives behind one atomic shared_ptr.
-// Each query copies the pointer, answers from that snapshot, and drops the
-// reference — so a kSwap installs the new snapshot with a single atomic
-// store while readers are in flight: every request is answered entirely
-// from the snapshot it started with (old or new, never a mixture), no
-// reader ever blocks, and the old mapping is unmapped when its last
-// in-flight reader finishes. A failed swap (missing file, corrupt blob)
-// leaves the current snapshot untouched.
+// zero-copy FabricView + QueryEngine) lives behind one mutex-guarded
+// shared_ptr slot. Each query copies the pointer under the mutex, answers
+// from that snapshot without holding it, and drops the reference — so a
+// kSwap installs the new snapshot with one guarded pointer store while
+// readers are in flight: every request is answered entirely from the
+// snapshot it started with (old or new, never a mixture), a reader waits
+// at most for one pointer copy, and the old mapping is unmapped when its
+// last in-flight reader finishes. A failed swap (missing file, corrupt
+// blob) leaves the current snapshot untouched.
 //
 // Thread model: one accept thread plus one thread per client connection,
-// all joined on stop(). Queries touch only the immutable snapshot and
-// relaxed atomic counters, so the request path is lock-free.
+// all joined on stop(). Queries touch only the immutable snapshot, the
+// pointer slot and relaxed atomic counters.
 #pragma once
 
 #include <atomic>
@@ -25,13 +26,13 @@
 #include <string>
 #include <thread>  // lint: thread-ok(per-client serving threads; joined in stop())
 #include <vector>
-#include <version>
 
 #include "io/mapped_snapshot.h"
 #include "obs/metrics.h"
 #include "query/engine.h"
 #include "query/fabric_view.h"
 #include "serve/protocol.h"
+#include "util/thread_annotations.h"
 
 namespace cloudmap::serve {
 
@@ -89,8 +90,10 @@ class Server {
   void stop();
 
  private:
-  std::shared_ptr<const ServedSnapshot> snapshot() const;
-  void store_snapshot(std::shared_ptr<const ServedSnapshot> next);
+  std::shared_ptr<const ServedSnapshot> snapshot() const
+      CM_EXCLUDES(current_mutex_);
+  void store_snapshot(std::shared_ptr<const ServedSnapshot> next)
+      CM_EXCLUDES(current_mutex_);
   void accept_loop();
   void handle_client(int fd, std::size_t slot);
   void join_all();
@@ -100,14 +103,10 @@ class Server {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
 
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<std::shared_ptr<const ServedSnapshot>> current_;
-#else
-  // Pre-C++20 fallback: a mutex-guarded pointer (swap still atomic as seen
-  // by readers, just not lock-free).
-  mutable std::mutex current_mutex_;
-  std::shared_ptr<const ServedSnapshot> current_;
-#endif
+  // The served snapshot; the mutex is held only to copy or replace the
+  // pointer.
+  mutable Mutex current_mutex_;
+  std::shared_ptr<const ServedSnapshot> current_ CM_GUARDED_BY(current_mutex_);
 
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> failed_{0};

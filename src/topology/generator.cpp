@@ -120,6 +120,8 @@ class Builder {
     // (finalize_hosting reads router interface lists for fixed replies).
     world_.seal();
     finalize_hosting();
+    // Generation ends here: every table and trie is final.
+    world_.freeze_indices();
     return std::move(world_);
   }
 
@@ -206,7 +208,6 @@ class Builder {
     as.type = type;
     as.name = std::move(name);
     world_.ases.push_back(std::move(as));
-    world_.as_by_asn[asn.value] = id;
     return id;
   }
 

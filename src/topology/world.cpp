@@ -14,8 +14,13 @@ std::vector<RegionId> World::regions_of(CloudProvider provider) const {
 }
 
 InterfaceId World::find_interface(Ipv4 address) const {
-  const auto it = interface_by_ip.find(address.value());
-  return it == interface_by_ip.end() ? InterfaceId{} : it->second;
+  const InterfaceId* found = interface_by_ip.find(address.value());
+  return found == nullptr ? InterfaceId{} : *found;
+}
+
+AsId World::find_as(Asn asn) const {
+  const AsId* found = as_by_asn.find(asn.value);
+  return found == nullptr ? AsId{} : *found;
 }
 
 AsId World::owner_of(Ipv4 address) const {
@@ -50,7 +55,6 @@ InterfaceId World::add_interface(RouterId router_id, Ipv4 address,
   const InterfaceId id =
       narrow_id<InterfaceId>(interfaces.size(), "interface table");
   interfaces.push_back(Interface{address, router_id, link_id, true});
-  if (!address.is_unspecified()) interface_by_ip[address.value()] = id;
   return id;
 }
 
@@ -81,6 +85,23 @@ void World::seal() {
     router_iface_pool[routers[r].interfaces.first + cursor[r]++] =
         InterfaceId{i};
   }
+}
+
+void World::freeze_indices() {
+  prefix_owner.freeze();
+  hosting_router.freeze();
+  // FlatHashMap keeps the first insert of a key, so walking each table
+  // backwards makes the last-added entry win.
+  for (std::size_t i = interfaces.size(); i-- > 0;) {
+    const Ipv4 address = interfaces[i].address;
+    if (!address.is_unspecified())
+      interface_by_ip.insert(address.value(),
+                             narrow_id<InterfaceId>(i, "interface table"));
+  }
+  interface_by_ip.freeze();
+  for (std::size_t i = ases.size(); i-- > 0;)
+    as_by_asn.insert(ases[i].asn.value, narrow_id<AsId>(i, "as table"));
+  as_by_asn.freeze();
 }
 
 LinkId World::add_link(InterfaceId a, InterfaceId b, LinkKind kind,
@@ -118,6 +139,10 @@ std::string World::validate() const {
         << " interfaces (seal() not run after construction?)";
     return err.str();
   }
+  if (!prefix_owner.frozen() || !hosting_router.frozen() ||
+      !interface_by_ip.frozen() || !as_by_asn.frozen())
+    return "lookup indices are not frozen "
+           "(freeze_indices() not run after construction?)";
   std::vector<bool> listed(interfaces.size(), false);
   for (std::uint32_t r = 0; r < routers.size(); ++r) {
     const IdSpan span = routers[r].interfaces;

@@ -1,16 +1,21 @@
 // The World: the complete ground-truth state of the synthetic Internet plus
 // the lookup indices the data plane and control plane need. Built once by
 // TopologyGenerator, then treated as immutable by everything downstream.
+//
+// The four indices are the flat structures the forwarding hot path reads
+// directly (one LPM structure, one probe table); freeze_indices() builds
+// them once, where generation ends, and nothing keeps a second copy.
+// lint: hot-path
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "net/flat_hash.h"
+#include "net/flat_prefix_trie.h"
 #include "net/ids.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
-#include "net/prefix_trie.h"
 #include "topology/entities.h"
 
 namespace cloudmap {
@@ -38,15 +43,18 @@ class World {
   // ASes of each cloud provider (primary AS first).
   std::vector<AsId> cloud_ases[kCloudProviderCount];
 
-  // --- indices ---
+  // --- indices (queryable only after freeze_indices()) ---
   // Ground-truth owner of every allocated prefix (announced, WHOIS-only,
-  // IXP LANs, interconnect subnets).
-  PrefixTrie<AsId> prefix_owner;
+  // IXP LANs, interconnect subnets). The generator inserts as it allocates.
+  FlatPrefixTrie<AsId> prefix_owner;
   // Router that terminates probes aimed into a prefix (the "hosting" edge
-  // router for that address block).
-  PrefixTrie<RouterId> hosting_router;
-  std::unordered_map<std::uint32_t, InterfaceId> interface_by_ip;
-  std::unordered_map<std::uint32_t, AsId> as_by_asn;
+  // router for that address block). The generator inserts as it hosts.
+  FlatPrefixTrie<RouterId> hosting_router;
+  // Address → interface and ASN → AS, derived from the interface and AS
+  // tables by freeze_indices(). On a shared address the last-added
+  // interface wins (likewise for a repeated ASN).
+  FlatHashMap<std::uint32_t, InterfaceId> interface_by_ip;
+  FlatHashMap<std::uint32_t, AsId> as_by_asn;
 
   // --- accessors ---
   const Metro& metro(MetroId id) const { return metros[id.value]; }
@@ -91,8 +99,12 @@ class World {
         router.extra_uplinks.count);
   }
 
-  // Interface lookup by address; invalid id when unknown.
+  // Interface lookup by address; invalid id when unknown. An address held
+  // by several interfaces resolves to the highest interface id.
   InterfaceId find_interface(Ipv4 address) const;
+
+  // AS lookup by ASN; invalid id when unknown.
+  AsId find_as(Asn asn) const;
 
   // AS that owns the address block containing `address` (ground truth);
   // invalid AsId when the address is unallocated.
@@ -131,6 +143,12 @@ class World {
   // spans; the generator calls it at the end of construction. Per-router
   // interface order is insertion order (== global interface index order).
   void seal();
+
+  // Build the four lookup indices: freeze the two prefix tries and derive
+  // interface_by_ip and as_by_asn from the interface and AS tables. Runs
+  // once, after the last table or trie write; the generator calls it where
+  // construction ends. Every index lookup is valid only afterwards.
+  void freeze_indices();
 
   // Internal consistency check (used by tests): every interface belongs to
   // its router's list, link endpoints agree, prefix owners exist, etc.

@@ -93,15 +93,14 @@ TEST(PeeringDb, TenantsAreRealTenants) {
     for (const Asn tenant : db.tenants(ColoId{c})) {
       ++listed;
       // The tenant has a router or interconnect at the colo in truth.
-      const auto it = world.as_by_asn.find(tenant.value);
-      ASSERT_NE(it, world.as_by_asn.end());
+      const AsId as = world.find_as(tenant);
+      ASSERT_TRUE(as.valid());
       bool present = false;
-      for (const RouterId router : world.ases[it->second.value].routers)
+      for (const RouterId router : world.ases[as.value].routers)
         if (world.router(router).colo.value == c) present = true;
       for (const GroundTruthInterconnect& ic : world.interconnects) {
         if (ic.colo.value == c &&
-            (ic.client == it->second ||
-             world.cloud_primary(ic.cloud) == it->second))
+            (ic.client == as || world.cloud_primary(ic.cloud) == as))
           present = true;
       }
       EXPECT_TRUE(present);

@@ -331,35 +331,39 @@ TEST(Serve, ServerDropsOversizedRequestAtTheHeader) {
   // A client that declares a 1 MiB request must be dropped as soon as its
   // four length bytes arrive — no buffer sized from the header, no wait for
   // a payload that never comes — while another client keeps being served.
+  // A whole frame with a bad CRC is dropped the same way. Each dropped
+  // client adds exactly one to `failed`; clients that leave at a frame
+  // boundary add nothing.
   const std::string path =
       write_snapshot(testfx::small_pipeline(), "serve_oversize.snap");
   serve::Server server({/*port=*/0, /*max_clients=*/8});
   std::string error;
   ASSERT_TRUE(server.start(path, &error)) << error;
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  // A receive timeout turns "the server waits for the payload" into a
-  // failed assertion instead of a hung test.
-  timeval timeout{};
-  timeout.tv_sec = 10;
-  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof(timeout)),
-            0);
-  const std::uint32_t length = (1u << 20) + 5;  // type + 1 MiB + CRC
-  const unsigned char header[4] = {
-      static_cast<unsigned char>(length),
-      static_cast<unsigned char>(length >> 8),
-      static_cast<unsigned char>(length >> 16),
-      static_cast<unsigned char>(length >> 24)};
-  ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 4);
+  // Send `bytes` on a raw connection; the server must close it (EOF within
+  // a 10 s receive timeout, so a server that waits fails instead of hangs).
+  const auto expect_dropped = [&](const std::string& bytes,
+                                  const char* what) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << what << " was not dropped";
+    ::close(fd);
+  };
 
   auto client = serve::Client::connect("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(client.has_value()) << error;
@@ -369,17 +373,32 @@ TEST(Serve, ServerDropsOversizedRequestAtTheHeader) {
         << error;
     EXPECT_EQ(response.status, QueryStatus::kOk);
   }
+  const std::uint64_t failed_before = server.stats().failed;
+  // A client that connects and leaves without a frame is not a failure
+  // (checked after stop(), which joins its server thread).
+  { auto idle = serve::Client::connect("127.0.0.1", server.port(), &error); }
 
-  char byte = 0;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "the oversized request was not "
-                                           "dropped at its header";
-  ::close(fd);
+  const std::uint32_t length = (1u << 20) + 5;  // type + 1 MiB + CRC
+  const std::string header = {static_cast<char>(length),
+                              static_cast<char>(length >> 8),
+                              static_cast<char>(length >> 16),
+                              static_cast<char>(length >> 24)};
+  expect_dropped(header, "the oversized request header");
+  EXPECT_EQ(server.stats().failed, failed_before + 1);
+
+  std::string corrupt;
+  serve::encode_frame(corrupt, serve::MsgType::kPing, std::string());
+  corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);  // CRC byte
+  expect_dropped(corrupt, "the corrupt-CRC frame");
+  EXPECT_EQ(server.stats().failed, failed_before + 2);
+
   // The request cap still admits every real request, a long swap path
   // included (this one does not exist, so the swap is refused, not dropped).
   EXPECT_FALSE(client->swap("/" + std::string(4000, 'x'), &error));
   EXPECT_EQ(error.find("connection lost"), std::string::npos) << error;
   EXPECT_TRUE(client->ping(&error)) << error;
   server.stop();
+  EXPECT_EQ(server.stats().failed, failed_before + 3);
   std::remove(path.c_str());
 }
 

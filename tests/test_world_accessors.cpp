@@ -1,6 +1,12 @@
 // World accessor and index coverage beyond generation invariants.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "fixtures.h"
 
 namespace cloudmap {
@@ -17,13 +23,46 @@ TEST(WorldAccessors, FindInterfaceRoundTrips) {
     if (iface.address.is_unspecified()) continue;
     const InterfaceId found = world.find_interface(iface.address);
     ASSERT_TRUE(found.valid());
-    // Shared addresses (L2 ports, redundant sessions) resolve to the first
+    // Shared addresses (L2 ports, redundant sessions) resolve to the last
     // registrant, which must at least share the router.
     EXPECT_EQ(world.interface(found).router, iface.router);
     ++checked;
   }
   EXPECT_GT(checked, 100u);
   EXPECT_FALSE(world.find_interface(Ipv4(99, 99, 99, 99)).valid());
+}
+
+TEST(WorldAccessors, FindInterfaceKeepsLastAddedOnSharedAddress) {
+  // The address index is derived from the interface table; on an address
+  // held by several interfaces the last-added (highest id) must win.
+  const World& world = small_world();
+  std::map<std::uint32_t, std::pair<std::size_t, std::uint32_t>> holders;
+  for (std::uint32_t i = 0; i < world.interfaces.size(); ++i) {
+    const Ipv4 address = world.interfaces[i].address;
+    if (address.is_unspecified()) continue;
+    auto& [count, highest] = holders[address.value()];
+    ++count;
+    highest = i;
+  }
+  std::size_t shared = 0;
+  for (const auto& [address, holder] : holders) {
+    const auto& [count, highest] = holder;
+    const InterfaceId found = world.find_interface(Ipv4(address));
+    ASSERT_TRUE(found.valid()) << Ipv4(address).to_string();
+    EXPECT_EQ(found.value, highest) << Ipv4(address).to_string();
+    if (count > 1) ++shared;
+  }
+  // The small world has shared addresses, so the rule is exercised.
+  EXPECT_GT(shared, 0u);
+}
+
+TEST(WorldAccessors, ValidateReportsUnfrozenIndices) {
+  World world;
+  EXPECT_NE(world.validate().find("freeze_indices() not run"),
+            std::string::npos)
+      << world.validate();
+  world.freeze_indices();
+  EXPECT_EQ(world.validate(), "");
 }
 
 TEST(WorldAccessors, OwnerOfMatchesPrefixOwner) {
@@ -78,10 +117,12 @@ TEST(WorldAccessors, CloudPrimaryIsFirstAndCloudTyped) {
 TEST(WorldAccessors, AsByAsnIsComplete) {
   const World& world = small_world();
   for (std::uint32_t i = 0; i < world.ases.size(); ++i) {
-    const auto it = world.as_by_asn.find(world.ases[i].asn.value);
-    ASSERT_NE(it, world.as_by_asn.end());
-    EXPECT_EQ(it->second.value, i);
+    const AsId* found = world.as_by_asn.find(world.ases[i].asn.value);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->value, i);
+    EXPECT_EQ(world.find_as(world.ases[i].asn), *found);
   }
+  EXPECT_FALSE(world.find_as(Asn{4'000'000'000u}).valid());
 }
 
 TEST(WorldAccessors, RouterLocationMatchesMetro) {

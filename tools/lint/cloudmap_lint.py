@@ -48,7 +48,8 @@ Rules (C++ unless noted):
                           block never mixes <...> and "..." styles; the
                           own header of a .cpp comes first.
   bad-pragma              a lint pragma with an empty reason.
-  hot-path-container      std::map / std::set in a file carrying a
+  hot-path-container      std::map / std::set / std::unordered_map /
+                          std::unordered_set in a file carrying a
                           `// lint: hot-path` marker — node-based containers
                           chase a pointer per element; hot paths use the
                           flat structures (FlatPrefixTrie, FlatHashMap,
@@ -176,7 +177,7 @@ THREAD_HOME = "src/util/parallel.h"
 
 # Files that declare themselves hot paths opt into the flat-structure rule.
 HOT_PATH_MARKER_RE = re.compile(r"lint:\s*hot-path\s*$|lint:\s*hot-path\s")
-HOT_PATH_CONTAINER_RE = re.compile(r"\bstd::(?:map|set)\s*<")
+HOT_PATH_CONTAINER_RE = re.compile(r"\bstd::(?:unordered_)?(?:map|set)\s*<")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*([<"])([^>"]+)[>"]')
 
@@ -351,7 +352,8 @@ def check_cpp(rel_path, abs_path, lines, findings):
             if HOT_PATH_CONTAINER_RE.search(strip_comment(raw)):
                 findings.append(Finding(
                     rel_path, i + 1, "hot-path-container",
-                    "std::map/std::set in a `// lint: hot-path` file — "
+                    "std::map/set/unordered_map/unordered_set in a "
+                    "`// lint: hot-path` file — "
                     "node-based containers chase a pointer per element; "
                     "use FlatPrefixTrie, FlatHashMap, or a sorted vector"))
 

@@ -2,6 +2,8 @@
 // lint: hot-path
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace cloudmap {
 
@@ -11,6 +13,14 @@ int count_routes() {
   routes[1] = 2;
   seen.insert(1);
   return static_cast<int>(routes.size() + seen.size());
+}
+
+int count_addresses() {
+  std::unordered_map<int, int> by_ip;  // hot-path-container: unordered_map
+  std::unordered_set<int> seen;        // hot-path-container: unordered_set
+  by_ip[1] = 2;
+  seen.insert(1);
+  return static_cast<int>(by_ip.size() + seen.size());
 }
 
 }  // namespace cloudmap

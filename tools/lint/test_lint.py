@@ -33,6 +33,21 @@ EXPECTED_RULE = {
 }
 
 
+def annotated_cases(root, rule):
+    """(relpath, line) of every line in `root` annotated `// <rule>: ...`."""
+    marker = "// %s:" % rule
+    cases = []
+    for dirpath, _, filenames in os.walk(root):
+        for filename in sorted(filenames):
+            path = os.path.join(dirpath, filename)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, start=1):
+                    if marker in line:
+                        cases.append((rel, number))
+    return cases
+
+
 def run_lint(root):
     return subprocess.run(
         [sys.executable, LINT, "--root", root],
@@ -63,6 +78,13 @@ def main():
                 failures.append(
                     "%s: expected rule [%s], got:\n%s"
                     % (name, rule, result.stdout.strip() or "<no output>"))
+            else:
+                for rel, number in annotated_cases(root, rule):
+                    if "%s:%d: [%s]" % (rel, number, rule) not in \
+                            result.stdout:
+                        failures.append("%s: annotated case %s:%d not "
+                                        "reported as [%s]"
+                                        % (name, rel, number, rule))
         elif name.startswith("good_"):
             if result.returncode != 0:
                 failures.append(
