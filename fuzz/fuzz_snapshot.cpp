@@ -2,10 +2,13 @@
 // format versions 1–3, the save→load→save byte-stability contract on
 // anything it accepts, the FabricIndex → QueryEngine path the CLI takes for
 // every loaded snapshot, and the zero-copy MappedSnapshot → FabricView →
-// QueryEngine path over the same bytes. Any crash, sanitizer report, or
-// broken invariant (accepted input that does not re-save stably; accepted
-// input whose in-memory blob fails validation; mapper accepting what the
-// loader refused) aborts.
+// QueryEngine path over the same bytes. Both loaders parse the container
+// with the one parse_snapshot_container(), so the mapper may refuse what
+// the loader accepts (v1/v2 files, a misaligned blob) but never accept
+// what it refuses. Any crash, sanitizer report, or broken invariant
+// (accepted input that does not re-save stably; accepted input whose
+// in-memory blob fails validation; mapper accepting what the loader
+// refused) aborts.
 #include <cstdint>
 #include <exception>
 #include <optional>

@@ -9,8 +9,13 @@
 //
 // Output is a pure function of this file: regenerating must be a no-op
 // unless the wire formats changed (then re-run and commit the result).
+// The legacy snapshot files (v1.snap, v2.snap and
+// regress-forged-segment-count.snap) are not written here: the v1/v2
+// writer is gone, so they are frozen bytes that keep the loader's legacy
+// decoders under test.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -45,6 +50,35 @@ std::uint32_t crc_of(const std::string& bytes, std::size_t offset,
                      std::size_t size) {
   return snapshot_crc32(
       reinterpret_cast<const unsigned char*>(bytes.data()) + offset, size);
+}
+
+std::uint64_t read_le(const std::string& bytes, std::size_t offset,
+                      std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i)
+    value |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+             << (8 * i);
+  return value;
+}
+
+// A section of a CMSNAP file: where its table entry sits (u32 id, u64
+// offset, u64 size, u32 CRC at 12 + 24·i) and where its payload sits.
+struct SectionEntry {
+  std::size_t entry = 0;
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+SectionEntry find_section(const std::string& bytes, std::uint32_t id) {
+  const auto count = static_cast<std::size_t>(read_le(bytes, 8, 4));
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t entry = 12 + i * 24;
+    if (read_le(bytes, entry, 4) == id)
+      return {entry, static_cast<std::size_t>(read_le(bytes, entry + 4, 8)),
+              static_cast<std::size_t>(read_le(bytes, entry + 12, 8))};
+  }
+  std::fprintf(stderr, "make_corpus: no section %u\n", id);
+  std::exit(1);
 }
 
 // A snapshot exercising every section and optional field (same shape as
@@ -112,60 +146,37 @@ RunSnapshot sample_snapshot() {
   return snap;
 }
 
-std::string snapshot_bytes(const RunSnapshot& snap, std::uint16_t version) {
+std::string snapshot_bytes(const RunSnapshot& snap) {
   std::ostringstream out;
-  save_snapshot(out, snap, version);
+  save_snapshot(out, snap);
   return out.str();
 }
 
 void emit_snapshot_corpus(const std::filesystem::path& dir) {
   const RunSnapshot sample = sample_snapshot();
-  write_file(dir / "v1.snap", snapshot_bytes(sample, 1));
-  write_file(dir / "v2.snap", snapshot_bytes(sample, 2));
-  write_file(dir / "v3.snap", snapshot_bytes(sample, 3));
+  write_file(dir / "v3.snap", snapshot_bytes(sample));
 
   RunSnapshot hazard = sample;
   hazard.hazard_profile = "loss:p=0.25;churn:rounds=2";
   hazard.hazard_metrics = {{"f1_delta", -0.125}, {"recall", 0.875}};
-  write_file(dir / "v3-hazard.snap", snapshot_bytes(hazard, 3));
+  const std::string hazard_bytes = snapshot_bytes(hazard);
+  write_file(dir / "v3-hazard.snap", hazard_bytes);
 
-  write_file(dir / "empty.snap", snapshot_bytes(RunSnapshot{}, 3));
+  write_file(dir / "empty.snap", snapshot_bytes(RunSnapshot{}));
 
-  // Regression: a v2 file whose segments section declares 0xFFFFFFFF
-  // segments (section CRC re-stamped so the forgery reaches the decoder).
-  // The count-vs-bytes cap must reject it without touching the allocator.
-  std::string forged = snapshot_bytes(sample, 2);
-  // Find the segments section (id 2) in the table: u32 count at offset 8,
-  // then count × 24-byte entries of { u32 id, u64 offset, u64 size,
-  // u32 CRC }. Its payload starts with the u32 segment count.
-  std::uint32_t section_count = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    section_count |= std::uint32_t{
-        static_cast<unsigned char>(forged[8 + i])} << (8 * i);
-  std::size_t entry = 0;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    if (static_cast<unsigned char>(forged[12 + s * 24]) == 2) {
-      entry = 12 + s * 24;
-      break;
-    }
-  }
-  if (entry == 0) {
-    std::fprintf(stderr, "make_corpus: no segments section in v2 file\n");
-    std::exit(1);
-  }
-  std::uint64_t seg_off = 0;
-  std::uint64_t seg_size = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    seg_off |= std::uint64_t{
-        static_cast<unsigned char>(forged[entry + 4 + i])} << (8 * i);
-    seg_size |= std::uint64_t{
-        static_cast<unsigned char>(forged[entry + 12 + i])} << (8 * i);
-  }
-  patch_u32(forged, static_cast<std::size_t>(seg_off), 0xFFFFFFFFu);
-  patch_u32(forged, entry + 20,
-            crc_of(forged, static_cast<std::size_t>(seg_off),
-                   static_cast<std::size_t>(seg_size)));
-  write_file(dir / "regress-forged-segment-count.snap", forged);
+  // Regression: v3-hazard.snap with the hazard section's metric count set
+  // to 0 and its CRC re-stamped, so the container verifies but section 8
+  // ends in unread bytes. The copying loader refused it while the mmap
+  // loader, then a second section-table walk that skipped section 8,
+  // served it; both loaders now share one container parser.
+  std::string forged = hazard_bytes;
+  const SectionEntry section = find_section(forged, 8);
+  const auto profile_length =
+      static_cast<std::size_t>(read_le(forged, section.offset, 4));
+  patch_u32(forged, section.offset + 4 + profile_length, 0);
+  patch_u32(forged, section.entry + 20,
+            crc_of(forged, section.offset, section.size));
+  write_file(dir / "regress-mapper-skips-hazard-section.snap", forged);
 }
 
 Campaign::SweepChunkResult sample_result(std::uint32_t salt) {

@@ -9,6 +9,13 @@
 
 namespace cloudmap {
 
+// Out of line: gcc 12 reports -Wmaybe-uninitialized on an initializer-list
+// default member copied inside every inlined PipelineOptions constructor.
+std::vector<CloudProvider> default_foreign_clouds() {
+  return {CloudProvider::kMicrosoft, CloudProvider::kGoogle,
+          CloudProvider::kIbm, CloudProvider::kOracle};
+}
+
 Pipeline::Pipeline(const World& world, PipelineOptions options)
     : world_(&world),
       options_(std::move(options)),

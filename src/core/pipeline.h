@@ -44,6 +44,10 @@
 
 namespace cloudmap {
 
+// The clouds the §7.1 VPI detector sweeps from by default: the four
+// foreign vantage points next to the Amazon subject.
+std::vector<CloudProvider> default_foreign_clouds();
+
 struct PipelineOptions {
   CloudProvider subject = CloudProvider::kAmazon;
   std::uint64_t seed = 1;
@@ -55,9 +59,7 @@ struct PipelineOptions {
   SnapshotOptions snapshot;
   DnsOptions dns;
   PeeringDbOptions peeringdb;
-  std::vector<CloudProvider> foreign_clouds = {
-      CloudProvider::kMicrosoft, CloudProvider::kGoogle, CloudProvider::kIbm,
-      CloudProvider::kOracle};
+  std::vector<CloudProvider> foreign_clouds = default_foreign_clouds();
   // Collect per-stage metrics (wall clocks, registry counters, pool stats).
   // Purely observational: inference outputs are identical either way.
   bool metrics = true;

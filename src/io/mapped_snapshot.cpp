@@ -5,20 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <cstdint>
 #include <utility>
 
 #include "io/snapshot.h"
 #include "io/snapshot_v3.h"
-#include "io/wire.h"
 
 namespace cloudmap {
 namespace {
-
-// Container framing, as documented in io/snapshot.h.
-constexpr char kMagic[6] = {'C', 'M', 'S', 'N', 'A', 'P'};
-constexpr std::size_t kHeaderSize = 12;    // magic + u16 version + u32 count
-constexpr std::size_t kTableEntrySize = 24;  // id + offset + size + crc
 
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = "snapshot: " + message;
@@ -69,12 +63,10 @@ std::optional<MappedSnapshot> MappedSnapshot::open(const std::string& path,
     return std::nullopt;
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size < kHeaderSize) {
-    ::close(fd);
-    fail(error, "file shorter than header");
-    return std::nullopt;
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  // An empty file is not mapped (mmap refuses length 0); the container
+  // parser rejects it as shorter than the header.
+  void* map = size == 0 ? nullptr
+                        : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps the file alive
   if (map == MAP_FAILED) {
     fail(error, "cannot mmap " + path);
@@ -84,76 +76,36 @@ std::optional<MappedSnapshot> MappedSnapshot::open(const std::string& path,
   MappedSnapshot snap;
   snap.map_ = map;
   snap.map_size_ = size;
-  const auto* data = static_cast<const unsigned char*>(map);
-
   const auto reject = [&](const std::string& message)
       -> std::optional<MappedSnapshot> {
     fail(error, message);
     return std::nullopt;  // snap's destructor unmaps
   };
 
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-    return reject("bad magic (not a cloudmap snapshot)");
-  wire::Cursor header{data, size, sizeof(kMagic)};
-  const std::uint16_t version = header.u16();
-  if (version != kSnapshotFormatVersion)
+  // The container checks are the copying loader's own (one parser), so
+  // both loaders refuse the same files with the same diagnostics. What is
+  // left here is what only the zero-copy path needs.
+  const std::optional<SnapshotContainer> container = parse_snapshot_container(
+      static_cast<const unsigned char*>(map), size, error);
+  if (!container) return std::nullopt;
+  if (container->version != kSnapshotFormatVersion)
     return reject("zero-copy load needs format version " +
                   std::to_string(kSnapshotFormatVersion) + ", file is " +
-                  std::to_string(version) +
+                  std::to_string(container->version) +
                   " (load it with the copying loader and re-save)");
-  const std::uint32_t section_count = header.u32();
-  if (section_count > 1024) return reject("implausible section count");
-  if (!header.need(std::size_t{section_count} * kTableEntrySize))
-    return reject("truncated section table");
-
-  // Same container discipline as the copying loader: every section's CRC
-  // must verify and every byte must be owned by the header, the table, or a
-  // payload. Unknown section ids are skipped (forward compat).
-  bool seen_meta = false;
-  bool seen_flat = false;
-  std::uint64_t end_of_payloads =
-      kHeaderSize + std::uint64_t{section_count} * kTableEntrySize;
-  for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = header.u32();
-    const std::uint64_t offset = header.u64();
-    const std::uint64_t payload_size = header.u64();
-    const std::uint32_t crc = header.u32();
-    if (offset > size || payload_size > size - offset)
-      return reject("section " + std::to_string(id) +
-                    " extends past end of file");
-    end_of_payloads = std::max(end_of_payloads, offset + payload_size);
-    if (snapshot_crc32(data + offset, payload_size) != crc)
-      return reject("section " + std::to_string(id) + " CRC mismatch");
-    if (id == static_cast<std::uint32_t>(SnapshotSection::kMeta)) {
-      if (seen_meta) return reject("duplicate section 1");
-      seen_meta = true;
-      wire::Cursor body{data + offset, static_cast<std::size_t>(payload_size),
-                        0};
-      snap.seed_ = body.u64();
-      snap.threads_ = body.i32();
-      snap.subject_ = body.u8();
-      bool pad_ok = true;
-      for (int b = 0; b < 7; ++b) pad_ok = pad_ok && body.u8() == 0;
-      if (!pad_ok || !body.at_end())
-        return reject("section 1 is malformed (bad field or trailing bytes)");
-    } else if (id == static_cast<std::uint32_t>(SnapshotSection::kFlatFabric)) {
-      if (seen_flat) return reject("duplicate section 7");
-      seen_flat = true;
-      if (offset % 8 != 0)
-        return reject("flat fabric section is not 8-byte aligned");
-      std::string flat_error;
-      if (!snapv3::validate_flat_fabric(
-              data + offset, static_cast<std::size_t>(payload_size),
-              &flat_error))
-        return reject(flat_error);
-      snap.blob_ = data + offset;
-      snap.blob_size_ = static_cast<std::size_t>(payload_size);
-    }
-  }
-  if (!seen_meta) return reject("missing required section 1");
-  if (!seen_flat) return reject("missing required section 7");
-  if (end_of_payloads != size)
-    return reject("trailing bytes past the last section");
+  const SnapshotPayload flat = container->sections[static_cast<std::size_t>(
+      SnapshotSection::kFlatFabric)];
+  // The mapping is page-aligned, so this is the section's file offset.
+  if (reinterpret_cast<std::uintptr_t>(flat.data) % 8 != 0)
+    return reject("flat fabric section is not 8-byte aligned");
+  std::string flat_error;
+  if (!snapv3::validate_flat_fabric(flat.data, flat.size, &flat_error))
+    return reject(flat_error);
+  snap.blob_ = flat.data;
+  snap.blob_size_ = flat.size;
+  snap.seed_ = container->seed;
+  snap.threads_ = container->threads;
+  snap.subject_ = container->subject;
   return snap;
 }
 

@@ -1,15 +1,22 @@
 // Zero-copy loader for format-v3 snapshot files: mmap the file read-only,
-// verify the container (magic, version, section table, per-section CRC) and
-// the flat-fabric blob (io/snapshot_v3.h), then hand out a pointer straight
+// check the container with the copying loader's own parser
+// (parse_snapshot_container in io/snapshot.h: magic, version, section
+// table, per-section CRC, meta and hazard sections), validate the
+// flat-fabric blob (io/snapshot_v3.h), then hand out a pointer straight
 // into the mapping. Nothing is decoded and nothing per-segment is
 // allocated — a FabricView (query/fabric_view.h) built over blob() serves
 // queries out of the page cache, which is what makes daemon hot-swaps cheap:
-// opening a new snapshot costs one validation pass, not a rebuild.
+// opening a new snapshot costs one validation pass, not a rebuild. Because
+// the container parser is shared, this loader accepts a file exactly when
+// load_snapshot() does, with the same diagnostic when it does not — apart
+// from the refusals below that only the zero-copy path has.
 //
 // Only version 3 files qualify (v1/v2 need the copying loader in
-// io/snapshot.h); the v3 writer pads the meta section so the blob sits
-// 8-byte aligned at file offset 80, and the mapping itself is page-aligned,
-// so the in-place record casts in V3View are always aligned.
+// io/snapshot.h, and are refused with a hint to re-save); the v3 writer
+// pads the meta section so the blob sits 8-byte aligned at file offset 80,
+// and the mapping itself is page-aligned, so the in-place record casts in
+// V3View are always aligned (a hand-made file that moves the blob off that
+// alignment is refused).
 //
 // The object owns the mapping: move-only, unmapped on destruction. Keep it
 // alive as long as any view into blob() is in use (serve/server.h bundles
@@ -26,8 +33,8 @@ namespace cloudmap {
 class MappedSnapshot {
  public:
   // Map and validate `path`. Returns nullopt (and a one-line diagnostic in
-  // *error, when given) if the file cannot be mapped, is not a v3 snapshot,
-  // fails any CRC, or fails flat-fabric validation.
+  // *error, when given) if the file cannot be mapped, fails any container
+  // check, is not a v3 snapshot, or fails flat-fabric validation.
   static std::optional<MappedSnapshot> open(const std::string& path,
                                             std::string* error = nullptr);
 

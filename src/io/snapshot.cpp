@@ -22,10 +22,7 @@ constexpr std::size_t kHeaderSize = 6 + 2 + 4;
 constexpr std::size_t kTableEntrySize = 4 + 8 + 8 + 4;
 
 // Little-endian append helpers and the bounds-checked read cursor live in
-// io/wire.h (shared with the v3 flat blob and the serve protocol). Each
-// fixed-width field is appended in one capacity-checked call, and the
-// encoders below reserve each section's exact payload size up front, so
-// building a section performs no reallocation at all.
+// io/wire.h (shared with the v3 flat blob and the serve protocol).
 using wire::Cursor;
 using wire::put_f64;
 using wire::put_i32;
@@ -37,122 +34,16 @@ using wire::put_u8;
 
 // --- section payloads -----------------------------------------------------
 
+// Padded to 20 bytes so the flat payload lands at file offset
+// 12 + 2×24 + 20 = 80, a multiple of 8: the mmap path casts the payload to
+// its record structs in place.
 std::string encode_meta(const RunSnapshot& s) {
   std::string out;
+  out.reserve(20);
   put_u64(out, s.seed);
   put_i32(out, s.threads);
   put_u8(out, s.subject);
-  return out;
-}
-
-std::string encode_segments(const RunSnapshot& s) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const SnapshotSegment& seg : s.segments)
-    payload += 43 + 4 * seg.regions.size() + 4 * seg.dest_slash24s.size();
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.segments.size()));
-  for (const SnapshotSegment& seg : s.segments) {
-    put_u32(out, seg.abi.value());
-    put_u32(out, seg.cbi.value());
-    put_u32(out, seg.prior_abi.value());
-    put_u32(out, seg.post_cbi.value());
-    put_i32(out, seg.first_round);
-    put_u8(out, static_cast<std::uint8_t>(seg.confirmation));
-    put_u8(out, static_cast<std::uint8_t>((seg.shifted ? 1 : 0) |
-                                          (seg.ixp ? 2 : 0) |
-                                          (seg.vpi ? 4 : 0)));
-    put_u8(out, seg.group);
-    put_u32(out, seg.owner_hint.value);
-    put_u32(out, seg.peer_asn.value);
-    put_u32(out, seg.peer_org.value);
-    put_u32(out, static_cast<std::uint32_t>(seg.regions.size()));
-    for (const std::uint32_t region : seg.regions) put_u32(out, region);
-    put_u32(out, static_cast<std::uint32_t>(seg.dest_slash24s.size()));
-    for (const std::uint32_t dest : seg.dest_slash24s) put_u32(out, dest);
-  }
-  return out;
-}
-
-std::string encode_pins(const RunSnapshot& s) {
-  std::string out;
-  out.reserve(8 + 14 * s.pins.size() + 8 * s.regional.size());
-  put_u32(out, static_cast<std::uint32_t>(s.pins.size()));
-  for (const SnapshotPin& pin : s.pins) {
-    put_u32(out, pin.address);
-    put_u32(out, pin.metro);
-    put_u8(out, pin.rule);
-    put_u8(out, pin.anchor_source);
-    put_i32(out, pin.round);
-  }
-  put_u32(out, static_cast<std::uint32_t>(s.regional.size()));
-  for (const auto& [address, region] : s.regional) {
-    put_u32(out, address);
-    put_u32(out, region);
-  }
-  return out;
-}
-
-std::string encode_aliases(const RunSnapshot& s) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const std::vector<std::uint32_t>& set : s.alias_sets)
-    payload += 4 + 4 * set.size();
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.alias_sets.size()));
-  for (const std::vector<std::uint32_t>& set : s.alias_sets) {
-    put_u32(out, static_cast<std::uint32_t>(set.size()));
-    for (const std::uint32_t member : set) put_u32(out, member);
-  }
-  return out;
-}
-
-std::string encode_metrics(const RunSnapshot& s, std::uint16_t version) {
-  std::string out;
-  std::size_t payload = 4;
-  for (const StageReport& report : s.stage_reports) {
-    payload += 69 + (version >= 2 ? 32 : 0);
-    for (const auto& [name, value] : report.tallies)
-      payload += 4 + name.size() + 8;
-  }
-  out.reserve(payload);
-  put_u32(out, static_cast<std::uint32_t>(s.stage_reports.size()));
-  for (const StageReport& report : s.stage_reports) {
-    put_u8(out, static_cast<std::uint8_t>(report.id));
-    put_i32(out, report.threads);
-    put_u32(out, report.workers);
-    put_u64(out, report.targets);
-    put_u64(out, report.traceroutes);
-    put_u64(out, report.probes);
-    put_u64(out, report.bgp_cache_hits);
-    put_u64(out, report.bgp_cache_misses);
-    if (version >= 2) {
-      put_u64(out, report.retries);
-      put_u64(out, report.backoff_waits);
-      put_u64(out, report.backoff_ticks);
-      put_u64(out, report.recovered_targets);
-    }
-    put_f64(out, report.wall_ms);
-    put_f64(out, report.worker_utilization);
-    put_u32(out, static_cast<std::uint32_t>(report.tallies.size()));
-    for (const auto& [name, value] : report.tallies) {
-      put_string(out, name);
-      put_f64(out, value);
-    }
-  }
-  return out;
-}
-
-std::string encode_confidence(const RunSnapshot& s) {
-  std::string out;
-  out.reserve(4 + 24 * s.segments.size());
-  put_u32(out, static_cast<std::uint32_t>(s.segments.size()));
-  for (const SnapshotSegment& seg : s.segments) {
-    put_u32(out, seg.observations);
-    put_u32(out, seg.rounds_mask);
-    put_f64(out, seg.hop_density);
-    put_f64(out, seg.confidence);
-  }
+  out.append(20 - out.size(), '\0');
   return out;
 }
 
@@ -176,21 +67,15 @@ std::string encode_hazard(const RunSnapshot& s) {
 
 // --- section decoders (each over its own bounds-checked cursor) -----------
 
-bool decode_meta(Cursor& in, RunSnapshot& s) {
-  s.seed = in.u64();
-  s.threads = in.i32();
-  s.subject = in.u8();
-  return in.at_end();
-}
-
-// v3 pads the meta payload to 20 bytes for alignment; the reserved bytes
-// must be zero so they stay available for future fields.
-bool decode_meta_v3(Cursor& in, RunSnapshot& s) {
-  s.seed = in.u64();
-  s.threads = in.i32();
-  s.subject = in.u8();
-  for (int i = 0; i < 7; ++i)
-    if (in.u8() != 0) return false;
+bool decode_meta(Cursor& in, SnapshotContainer& c) {
+  c.seed = in.u64();
+  c.threads = in.i32();
+  c.subject = in.u8();
+  // v3 pads the meta payload to 20 bytes for alignment; the reserved bytes
+  // must be zero so they stay available for future fields.
+  if (c.version >= 3)
+    for (int i = 0; i < 7; ++i)
+      if (in.u8() != 0) return false;
   return in.at_end();
 }
 
@@ -299,9 +184,9 @@ bool decode_metrics(Cursor& in, RunSnapshot& s, std::uint16_t version) {
   return in.at_end();
 }
 
-// One decoded confidence record; buffered instead of applied in place so
-// the loader tolerates the confidence section appearing before the segments
-// section in the table (the count check runs after every section decoded).
+// One decoded confidence record; buffered instead of applied in place so a
+// count that disagrees with the segments section is reported as such once
+// both sections decoded.
 struct ConfidenceRecord {
   std::uint32_t observations = 0;
   std::uint32_t rounds_mask = 0;
@@ -326,17 +211,17 @@ bool decode_confidence(Cursor& in, std::vector<ConfidenceRecord>& records) {
   return in.at_end();
 }
 
-bool decode_hazard(Cursor& in, RunSnapshot& s) {
-  s.hazard_profile = in.str();
+bool decode_hazard(Cursor& in, SnapshotContainer& c) {
+  c.hazard_profile = in.str();
   // The writer omits the section for an empty profile; a present-but-empty
   // one would not re-save byte-identically, so it is malformed.
-  if (s.hazard_profile.empty()) return false;
+  if (c.hazard_profile.empty()) return false;
   // 12 = u32 name length (empty name) + f64 value.
   const std::uint32_t metric_count = wire::bounded_count(in, 12);
   for (std::uint32_t i = 0; i < metric_count && !in.failed; ++i) {
     std::string name = in.str();
     const double value = in.f64();
-    s.hazard_metrics.emplace_back(std::move(name), value);
+    c.hazard_metrics.emplace_back(std::move(name), value);
   }
   return in.at_end();
 }
@@ -410,11 +295,7 @@ void canonicalize(RunSnapshot& snapshot) {
   std::sort(snapshot.hazard_metrics.begin(), snapshot.hazard_metrics.end());
 }
 
-void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
-                   std::uint16_t version) {
-  // Anything other than an explicitly supported legacy layout writes the
-  // current flat format.
-  if (version != 1 && version != 2) version = kSnapshotFormatVersion;
+void save_snapshot(std::ostream& out, const RunSnapshot& snapshot) {
   RunSnapshot canonical = snapshot;
   canonicalize(canonical);
 
@@ -422,30 +303,12 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
     SnapshotSection id;
     std::string payload;
   };
-  std::vector<Section> sections;
-  if (version >= 3) {
-    // v3: meta (padded to 20 bytes so the flat payload lands at file offset
-    // 12 + 2×24 + 20 = 80, a multiple of 8 — the mmap path casts the
-    // payload to its record structs in place) plus the flat fabric blob.
-    std::string meta = encode_meta(canonical);
-    meta.append(20 - meta.size(), '\0');
-    sections.push_back({SnapshotSection::kMeta, std::move(meta)});
-    sections.push_back({SnapshotSection::kFlatFabric,
-                        snapv3::encode_flat_fabric(canonical)});
-    if (!canonical.hazard_profile.empty())
-      sections.push_back({SnapshotSection::kHazard, encode_hazard(canonical)});
-  } else {
-    sections = {
-        {SnapshotSection::kMeta, encode_meta(canonical)},
-        {SnapshotSection::kSegments, encode_segments(canonical)},
-        {SnapshotSection::kPins, encode_pins(canonical)},
-        {SnapshotSection::kAliases, encode_aliases(canonical)},
-        {SnapshotSection::kMetrics, encode_metrics(canonical, version)},
-    };
-    if (version >= 2)
-      sections.push_back(
-          {SnapshotSection::kConfidence, encode_confidence(canonical)});
-  }
+  std::vector<Section> sections = {
+      {SnapshotSection::kMeta, encode_meta(canonical)},
+      {SnapshotSection::kFlatFabric, snapv3::encode_flat_fabric(canonical)},
+  };
+  if (!canonical.hazard_profile.empty())
+    sections.push_back({SnapshotSection::kHazard, encode_hazard(canonical)});
 
   // Assemble header, table, and payloads into one buffer so the stream sees
   // a single write (the bytes are identical to writing section by section).
@@ -454,7 +317,7 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
   std::string file;
   file.reserve(total);
   file.append(kMagic, sizeof(kMagic));
-  put_u16(file, version);
+  put_u16(file, kSnapshotFormatVersion);
   put_u32(file, static_cast<std::uint32_t>(sections.size()));
   std::uint64_t offset = kHeaderSize + sections.size() * kTableEntrySize;
   for (const Section& section : sections) {
@@ -472,32 +335,27 @@ void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
 }
 
 bool save_snapshot_file(const std::string& path, const RunSnapshot& snapshot,
-                        std::string* error, std::uint16_t version) {
+                        std::string* error) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return fail(error, "cannot open " + path + " for writing");
-  save_snapshot(out, snapshot, version);
+  save_snapshot(out, snapshot);
   out.flush();
   if (!out) return fail(error, "write to " + path + " failed");
   return true;
 }
 
-std::optional<RunSnapshot> load_snapshot(std::istream& in,
-                                         std::string* error) {
-  std::ostringstream buffer_stream;
-  buffer_stream << in.rdbuf();
-  const std::string buffer = buffer_stream.str();
-  const auto* data = reinterpret_cast<const unsigned char*>(buffer.data());
-
+std::optional<SnapshotContainer> parse_snapshot_container(
+    const unsigned char* data, std::size_t size, std::string* error) {
   const auto reject = [&](const std::string& message)
-      -> std::optional<RunSnapshot> {
+      -> std::optional<SnapshotContainer> {
     fail(error, "snapshot: " + message);
     return std::nullopt;
   };
 
-  if (buffer.size() < kHeaderSize) return reject("file shorter than header");
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0)
+  if (size < kHeaderSize) return reject("file shorter than header");
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
     return reject("bad magic (not a cloudmap snapshot)");
-  Cursor header{data, buffer.size(), sizeof(kMagic)};
+  Cursor header{data, size, sizeof(kMagic)};
   const std::uint16_t version = header.u16();
   if (version < kSnapshotMinFormatVersion || version > kSnapshotFormatVersion)
     return reject("unsupported format version " + std::to_string(version) +
@@ -508,14 +366,18 @@ std::optional<RunSnapshot> load_snapshot(std::istream& in,
   if (!header.need(std::size_t{section_count} * kTableEntrySize))
     return reject("truncated section table");
 
-  // Known (and required) section ids depend on the version: v3 carries meta
-  // plus the flat fabric blob; v1/v2 carry the sectioned layout (a v1 file
-  // has no confidence section; its id is treated as unknown there, exactly
-  // as v1 readers did). Anything else is skipped for forward compatibility.
-  const bool flat = version >= 3;
-  const std::uint32_t max_known_section = version >= 2 ? 6 : 5;
-  RunSnapshot snapshot;
-  std::vector<ConfidenceRecord> confidence;
+  // Known section ids depend on the version: v3 carries meta, the flat
+  // fabric blob and the optional hazard section; v1/v2 carry the sectioned
+  // layout (a v1 file has no confidence section; its id is treated as
+  // unknown there, exactly as v1 readers did). Every known id but the
+  // hazard section is required. Anything else is skipped for forward
+  // compatibility.
+  const auto known = [version](std::uint32_t id) {
+    if (version >= 3) return id == 1 || id == 7 || id == 8;
+    return id >= 1 && id <= (version >= 2 ? 6u : 5u);
+  };
+  SnapshotContainer container;
+  container.version = version;
   bool seen[9] = {};
   // Every byte must be owned by the header, the table, or a payload: a file
   // with unaccounted trailing bytes would not re-save byte-identically.
@@ -524,27 +386,85 @@ std::optional<RunSnapshot> load_snapshot(std::istream& in,
   for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::uint32_t id = header.u32();
     const std::uint64_t offset = header.u64();
-    const std::uint64_t size = header.u64();
+    const std::uint64_t payload_size = header.u64();
     const std::uint32_t crc = header.u32();
-    if (offset > buffer.size() || size > buffer.size() - offset)
+    if (offset > size || payload_size > size - offset)
       return reject("section " + std::to_string(id) +
                     " extends past end of file");
-    end_of_payloads = std::max(end_of_payloads, offset + size);
-    if (snapshot_crc32(data + offset, size) != crc)
+    end_of_payloads = std::max(end_of_payloads, offset + payload_size);
+    if (snapshot_crc32(data + offset, payload_size) != crc)
       return reject("section " + std::to_string(id) + " CRC mismatch");
-    if (flat ? (id != 1 && id != 7 && id != 8)
-             : (id < 1 || id > max_known_section))
-      continue;  // unknown section: skip (forward compat)
-    if (seen[id])
-      return reject("duplicate section " + std::to_string(id));
+    if (!known(id)) continue;  // unknown section: skip (forward compat)
+    if (seen[id]) return reject("duplicate section " + std::to_string(id));
     seen[id] = true;
-    Cursor body{data + offset, static_cast<std::size_t>(size), 0};
+    container.sections[id] = {data + offset,
+                              static_cast<std::size_t>(payload_size)};
+    // Meta (1) and hazard (8) are decoded here; the rest is the caller's.
+    Cursor body{data + offset, static_cast<std::size_t>(payload_size), 0};
+    const bool ok = id == 1   ? decode_meta(body, container)
+                    : id == 8 ? decode_hazard(body, container)
+                              : true;
+    if (!ok)
+      return reject("section " + std::to_string(id) +
+                    " is malformed (bad field or trailing bytes)");
+  }
+  for (std::uint32_t id = 1; id < 8; ++id)
+    if (known(id) && !seen[id])
+      return reject("missing required section " + std::to_string(id));
+  if (end_of_payloads != size)
+    return reject("trailing bytes past the last section");
+  return container;
+}
+
+std::optional<RunSnapshot> load_snapshot(std::istream& in,
+                                         std::string* error) {
+  std::ostringstream buffer_stream;
+  buffer_stream << in.rdbuf();
+  const std::string buffer = buffer_stream.str();
+  std::optional<SnapshotContainer> container = parse_snapshot_container(
+      reinterpret_cast<const unsigned char*>(buffer.data()), buffer.size(),
+      error);
+  if (!container) return std::nullopt;
+
+  const auto reject = [&](const std::string& message)
+      -> std::optional<RunSnapshot> {
+    fail(error, "snapshot: " + message);
+    return std::nullopt;
+  };
+  RunSnapshot snapshot;
+  snapshot.seed = container->seed;
+  snapshot.threads = container->threads;
+  snapshot.subject = container->subject;
+  snapshot.hazard_profile = std::move(container->hazard_profile);
+  snapshot.hazard_metrics = std::move(container->hazard_metrics);
+  const std::uint16_t version = container->version;
+
+  if (version >= 3) {
+    const SnapshotPayload flat =
+        container->sections[static_cast<std::size_t>(
+            SnapshotSection::kFlatFabric)];
+    // The buffer's alignment is whatever the string allocator gave us;
+    // copy the blob to 8-aligned scratch before casting record structs
+    // over it (this IS the copying path — the zero-copy one is
+    // io/mapped_snapshot.h, where the mapping is page-aligned).
+    std::vector<std::uint64_t> aligned((flat.size + 7) / 8);
+    if (flat.size > 0) std::memcpy(aligned.data(), flat.data, flat.size);
+    const auto* blob = reinterpret_cast<const unsigned char*>(aligned.data());
+    std::string flat_error;
+    if (!snapv3::validate_flat_fabric(blob, flat.size, &flat_error))
+      return reject(flat_error);
+    snapv3::decode_flat_fabric(blob, snapshot);
+    return snapshot;
+  }
+
+  // v1/v2: one decoder per section, each over its own bounded cursor.
+  std::vector<ConfidenceRecord> confidence;
+  const std::uint32_t last_section = version >= 2 ? 6 : 5;
+  for (std::uint32_t id = 2; id <= last_section; ++id) {
+    const SnapshotPayload payload = container->sections[id];
+    Cursor body{payload.data, payload.size, 0};
     bool ok = false;
     switch (static_cast<SnapshotSection>(id)) {
-      case SnapshotSection::kMeta:
-        ok = flat ? decode_meta_v3(body, snapshot)
-                  : decode_meta(body, snapshot);
-        break;
       case SnapshotSection::kSegments:
         ok = decode_segments(body, snapshot);
         break;
@@ -558,41 +478,13 @@ std::optional<RunSnapshot> load_snapshot(std::istream& in,
       case SnapshotSection::kConfidence:
         ok = decode_confidence(body, confidence);
         break;
-      case SnapshotSection::kFlatFabric: {
-        // The buffer's alignment is whatever the string allocator gave us;
-        // copy the blob to 8-aligned scratch before casting record structs
-        // over it (this IS the copying path — the zero-copy one is
-        // io/mapped_snapshot.h, where the mapping is page-aligned).
-        std::vector<std::uint64_t> aligned((size + 7) / 8);
-        if (size > 0) std::memcpy(aligned.data(), data + offset, size);
-        const auto* blob =
-            reinterpret_cast<const unsigned char*>(aligned.data());
-        std::string flat_error;
-        if (!snapv3::validate_flat_fabric(
-                blob, static_cast<std::size_t>(size), &flat_error))
-          return reject(flat_error);
-        snapv3::decode_flat_fabric(blob, snapshot);
-        ok = true;
-        break;
-      }
-      case SnapshotSection::kHazard:
-        ok = decode_hazard(body, snapshot);
-        break;
+      default: break;
     }
     if (!ok)
       return reject("section " + std::to_string(id) +
                     " is malformed (bad field or trailing bytes)");
   }
-  const std::uint32_t first_required = 1;
-  const std::uint32_t last_required = flat ? 7 : max_known_section;
-  for (std::uint32_t id = first_required; id <= last_required; ++id) {
-    if (flat && id > 1 && id < 7) continue;  // v3 has no sections 2–6
-    if (!seen[id])
-      return reject("missing required section " + std::to_string(id));
-  }
-  if (end_of_payloads != buffer.size())
-    return reject("trailing bytes past the last section");
-  if (!flat && version >= 2) {
+  if (version >= 2) {
     if (confidence.size() != snapshot.segments.size())
       return reject("confidence section has " +
                     std::to_string(confidence.size()) + " records for " +

@@ -14,7 +14,8 @@
 //
 // Sections (ids are stable; readers skip unknown ids so additive sections
 // do not need a version bump): 1 meta, 2 segments, 3 pins, 4 alias sets,
-// 5 stage metrics, 6 per-segment confidence (v2), 7 flat fabric (v3).
+// 5 stage metrics, 6 per-segment confidence (v2), 7 flat fabric (v3),
+// 8 hazard provenance (v3, optional).
 // CRC-32 is the zlib polynomial (0xEDB88320), so tools/diff_snapshots.py
 // verifies with Python's zlib.crc32.
 //
@@ -23,9 +24,16 @@
 // fabric" section (io/snapshot_v3.h) whose payload is the query layer's
 // in-memory layout — the v3 meta payload is padded to 20 bytes so that
 // payload always starts at file offset 80, 8-byte aligned for the mmap
-// path (io/mapped_snapshot.h). The loader still accepts v1 and v2 files
-// via the copying path; the writer emits either legacy layout on request
-// (version = 1 or 2) for compatibility tests and downgrades.
+// path (io/mapped_snapshot.h). The writer emits v3 only; the copying loader
+// still reads v1 and v2 files, so a legacy file upgrades by load → save.
+// Committed v1/v2 files under fuzz/corpus/snapshot/ keep those decoders
+// tested.
+//
+// Container: parse_snapshot_container() is the one parser of the header
+// and section table. Both loaders — load_snapshot() here and
+// MappedSnapshot::open() — call it, so they accept and refuse the same
+// containers with the same diagnostics; each then decodes or validates the
+// payloads it needs.
 //
 // Determinism contract: save_snapshot() canonicalizes collection order, and
 // every v3 index array derives deterministically from the canonical
@@ -34,10 +42,14 @@
 // never a crash or a silent partial load.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "query/snapshot.h"
 
@@ -63,19 +75,46 @@ enum class SnapshotSection : std::uint32_t {
   kHazard = 8,
 };
 
-// Serialize (canonicalizing collection order first; see query/snapshot.h).
-// `version` selects the on-disk layout: 1 writes the legacy v1 layout (no
-// confidence section, no retry counters in the metrics records), 2 writes
-// the sectioned v2 layout; anything else writes the current flat format.
-void save_snapshot(std::ostream& out, const RunSnapshot& snapshot,
-                   std::uint16_t version = kSnapshotFormatVersion);
+// Serialize in the current format (canonicalizing collection order first;
+// see query/snapshot.h).
+void save_snapshot(std::ostream& out, const RunSnapshot& snapshot);
 bool save_snapshot_file(const std::string& path, const RunSnapshot& snapshot,
-                        std::string* error = nullptr,
-                        std::uint16_t version = kSnapshotFormatVersion);
+                        std::string* error = nullptr);
 
-// Parse and validate: magic, version, section-table bounds, per-section
-// CRC, and per-field range checks. Returns nullopt (and a one-line
-// diagnostic in *error, when given) on any violation.
+// One section's payload: a view into the parsed buffer, nothing copied.
+struct SnapshotPayload {
+  const unsigned char* data = nullptr;
+  std::size_t size = 0;
+};
+
+// What the container says: the version, the decoded meta (section 1) and
+// hazard (section 8) fields, and a view of every other known section.
+struct SnapshotContainer {
+  std::uint16_t version = 0;
+  std::uint64_t seed = 0;
+  std::int32_t threads = 0;
+  std::uint8_t subject = 0;
+  std::string hazard_profile;  // empty when the file has no section 8
+  std::vector<std::pair<std::string, double>> hazard_metrics;
+  // Indexed by section id. Every section the version requires is present
+  // (v1: 1–5, v2: 1–6, v3: 1 and 7); unknown ids are skipped, not kept.
+  std::array<SnapshotPayload, 9> sections{};
+};
+
+// Parse and validate the container over `size` bytes at `data`: magic,
+// version range, section-count cap, table and section bounds, every
+// section's CRC, duplicate and missing sections, trailing bytes, and the
+// meta and hazard payloads. Returns nullopt (and a one-line "snapshot: …"
+// diagnostic in *error, when given) on any violation. Section payloads
+// other than meta and hazard are not looked at; the 8-byte alignment the
+// mmap path needs is its own check.
+std::optional<SnapshotContainer> parse_snapshot_container(
+    const unsigned char* data, std::size_t size, std::string* error);
+
+// Parse the container, then decode every section into a RunSnapshot: the
+// v1/v2 sections with per-field range checks, the v3 blob through
+// validate_flat_fabric(). Returns nullopt (and a one-line diagnostic in
+// *error, when given) on any violation.
 std::optional<RunSnapshot> load_snapshot(std::istream& in,
                                          std::string* error = nullptr);
 std::optional<RunSnapshot> load_snapshot_file(const std::string& path,

@@ -41,8 +41,8 @@ struct SnapshotSegment {
   Asn peer_asn;   // resolved peer AS (owner hint fallback applied); 0=unknown
   OrgId peer_org;  // organization of peer_asn; 0=unknown
   std::uint8_t group = kSnapshotNoGroup;  // PeeringGroup, Table 5 axis
-  // Per-segment confidence (infer/confidence.h), persisted as the v2
-  // confidence section of io/snapshot. All zero when loaded from a v1 file.
+  // Per-segment confidence (infer/confidence.h), persisted in the v3 flat
+  // blob (section 6 of a v2 file). All zero when loaded from a v1 file.
   std::uint32_t observations = 0;  // candidate observations merged
   std::uint32_t rounds_mask = 0;   // bit r-1 set when round r contributed
   double hop_density = 0.0;        // mean responding-hop density, [0, 1]

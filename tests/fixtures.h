@@ -4,6 +4,11 @@
 // coverage.
 #pragma once
 
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
 #include "core/pipeline.h"
 #include "topology/generator.h"
 
@@ -46,6 +51,20 @@ inline Pipeline& paper_pipeline() {
     return p;
   }();
   return *pipeline;
+}
+
+// A committed fuzz corpus file (fuzz/corpus/<name>, e.g.
+// "snapshot/v1.snap"). The v1/v2 snapshot layouts exist only as these
+// frozen bytes, so the legacy-format tests start from them.
+inline std::string corpus_path(const std::string& name) {
+  return std::string(CLOUDMAP_CORPUS_DIR) + "/" + name;
+}
+
+inline std::string corpus_bytes(const std::string& name) {
+  std::ifstream in(corpus_path(name), std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + corpus_path(name));
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace cloudmap::testfx

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "infer/campaign.h"
 #include "io/shard.h"
 #include "io/snapshot.h"
@@ -241,17 +242,11 @@ TEST(ForgedHeader, SnapshotSectionCountFailsFast) {
 
 // A segments section declaring 0xFFFFFFFF records — with its section CRC
 // re-stamped so the forgery reaches the record decoder — must be refused by
-// the count-vs-remaining-bytes cap before any reserve.
+// the count-vs-remaining-bytes cap before any reserve. The segments section
+// exists only in the v1/v2 layouts, so the forgery starts from the
+// committed v2 file; it yields the committed reproducer byte for byte.
 TEST(ForgedHeader, SnapshotSegmentCountFailsFast) {
-  RunSnapshot snap;
-  SnapshotSegment seg;
-  seg.abi = Ipv4(10, 0, 0, 2);
-  seg.cbi = Ipv4(203, 0, 113, 9);
-  seg.observations = 1;
-  snap.segments = {seg};
-  std::ostringstream out;
-  save_snapshot(out, snap, 2);
-  std::string bytes = out.str();
+  std::string bytes = testfx::corpus_bytes("snapshot/v2.snap");
 
   // Find the segments section (id 2) in the table.
   std::uint32_t section_count = 0;
@@ -277,6 +272,8 @@ TEST(ForgedHeader, SnapshotSegmentCountFailsFast) {
   patch_u32(bytes, entry + 20,
             crc_of(bytes, static_cast<std::size_t>(offset),
                    static_cast<std::size_t>(size)));
+  EXPECT_EQ(bytes,
+            testfx::corpus_bytes("snapshot/regress-forged-segment-count.snap"));
 
   std::istringstream in(bytes);
   std::string error;

@@ -8,10 +8,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fixtures.h"
 #include "io/snapshot.h"
+#include "io/snapshot_v3.h"
 #include "query/snapshot.h"
 
 namespace cloudmap {
@@ -149,13 +151,10 @@ TEST(SnapshotIo, HandBuiltRoundTrip) {
 }
 
 TEST(SnapshotIo, LegacyV1SaveLoadsWithZeroConfidence) {
-  // The writer can still emit the v1 layout (5 sections, no confidence, no
-  // retry fields in stage metrics); the loader accepts it and defaults the
-  // v2 fields to zero.
-  const RunSnapshot original = sample_snapshot();
-  std::ostringstream out;
-  save_snapshot(out, original, /*version=*/1);
-  const std::string bytes = out.str();
+  // A v1 file (5 sections, no confidence, no retry fields in stage metrics;
+  // the committed bytes of the removed v1 writer) loads with the v2 fields
+  // defaulted to zero.
+  const std::string bytes = testfx::corpus_bytes("snapshot/v1.snap");
   EXPECT_EQ(bytes[6], 1);  // header carries version 1
   std::istringstream in(bytes);
   std::string error;
@@ -171,22 +170,53 @@ TEST(SnapshotIo, LegacyV1SaveLoadsWithZeroConfidence) {
   ASSERT_EQ(loaded->stage_reports.size(), 1u);
   EXPECT_EQ(loaded->stage_reports[0].retries, 0u);
   EXPECT_EQ(loaded->stage_reports[0].backoff_ticks, 0u);
-  // Resaving a legacy file at the default version upgrades it to the
-  // current flat format.
+  // Resaving a legacy file upgrades it to the current flat format.
   const std::string resaved = save_to_string(*loaded);
   EXPECT_EQ(resaved[6], 3);
+}
+
+TEST(SnapshotIo, LegacyCorpusFilesLoadToTheSampleSnapshot) {
+  // Pins the frozen v1/v2 files to what the removed writer made of
+  // sample_snapshot(): v2 carries every field, v1 all but the confidence
+  // fields and the retry counters. The flat encoding stores every field in
+  // the order given, so equal blobs mean equal, canonically ordered
+  // snapshots.
+  RunSnapshot v2 = sample_snapshot();
+  canonicalize(v2);
+  RunSnapshot v1 = v2;
+  for (SnapshotSegment& seg : v1.segments) {
+    seg.observations = 0;
+    seg.rounds_mask = 0;
+    seg.hop_density = 0.0;
+    seg.confidence = 0.0;
+  }
+  for (StageReport& report : v1.stage_reports)
+    report.retries = report.backoff_waits = report.backoff_ticks =
+        report.recovered_targets = 0;
+  const std::pair<const char*, const RunSnapshot*> cases[] = {
+      {"snapshot/v1.snap", &v1}, {"snapshot/v2.snap", &v2}};
+  for (const auto& [name, want] : cases) {
+    std::istringstream in(testfx::corpus_bytes(name));
+    std::string error;
+    const auto loaded = load_snapshot(in, &error);
+    ASSERT_TRUE(loaded.has_value()) << name << ": " << error;
+    EXPECT_EQ(loaded->seed, want->seed) << name;
+    EXPECT_EQ(loaded->threads, want->threads) << name;
+    EXPECT_EQ(loaded->subject, want->subject) << name;
+    EXPECT_TRUE(loaded->hazard_profile.empty()) << name;
+    EXPECT_TRUE(loaded->hazard_metrics.empty()) << name;
+    EXPECT_EQ(snapv3::encode_flat_fabric(*loaded),
+              snapv3::encode_flat_fabric(*want))
+        << name;
+  }
 }
 
 TEST(SnapshotIo, RejectsConfidenceOutOfRangeWithValidCrc) {
   // Corrupt the first confidence score to 2.0 and fix up the section CRC,
   // so only the domain check can catch it. The confidence section only
   // exists in the v2 layout (v3 carries confidence inside the flat blob, a
-  // case test_snapshot_v3.cpp covers), so save v2 explicitly.
-  RunSnapshot snap = sample_snapshot();
-  canonicalize(snap);
-  std::ostringstream v2_out;
-  save_snapshot(v2_out, snap, /*version=*/2);
-  const std::string good = v2_out.str();
+  // case test_snapshot_v3.cpp covers), so start from the committed v2 file.
+  const std::string good = testfx::corpus_bytes("snapshot/v2.snap");
   std::size_t conf_offset = 0, conf_size = 0, crc_pos = 0;
   for (std::size_t i = 0; i < 6; ++i) {
     const std::size_t base = 12 + i * 24;
@@ -349,13 +379,10 @@ TEST(SnapshotIo, RejectsTrailingGarbage) {
 TEST(SnapshotIo, RejectsOutOfRangeEnumWithValidCrc) {
   // Corrupt a field *and* fix up the section CRC so only the range check
   // can catch it: confirmation byte of the first segment record. The
-  // byte-addressed segment section is v1/v2 only, so save v2 explicitly
-  // (v3 enum checks are exercised in test_snapshot_v3.cpp).
-  RunSnapshot snap = sample_snapshot();
-  canonicalize(snap);
-  std::ostringstream v2_out;
-  save_snapshot(v2_out, snap, /*version=*/2);
-  const std::string good = v2_out.str();
+  // byte-addressed segment section is v1/v2 only, so start from the
+  // committed v2 file (v3 enum checks are exercised in
+  // test_snapshot_v3.cpp).
+  const std::string good = testfx::corpus_bytes("snapshot/v2.snap");
   // Find the segments section (id 2) in the table to locate its payload.
   const auto entry_at = [&](std::size_t i) {
     return 12 + i * 24;  // header is 12 bytes, entries 24

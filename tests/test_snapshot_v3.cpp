@@ -84,19 +84,78 @@ TEST(SnapshotV3, MappedOpenExposesMetaAndValidBlob) {
 }
 
 TEST(SnapshotV3, MappedOpenRejectsV1AndV2Files) {
-  for (const int version : {1, 2}) {
-    std::ostringstream out;
-    save_snapshot(out, shared_snapshot(), version);
-    const std::string path =
-        write_temp(out.str(), "v3_old_" + std::to_string(version) + ".snap");
+  for (const char* name : {"snapshot/v1.snap", "snapshot/v2.snap"}) {
     std::string error;
-    EXPECT_FALSE(MappedSnapshot::open(path, &error).has_value()) << version;
+    EXPECT_FALSE(
+        MappedSnapshot::open(testfx::corpus_path(name), &error).has_value())
+        << name;
     EXPECT_NE(error.find("version"), std::string::npos) << error;
     // The copying loader still accepts the same file.
-    std::istringstream in(out.str());
+    std::istringstream in(testfx::corpus_bytes(name));
     EXPECT_TRUE(load_snapshot(in, &error).has_value()) << error;
-    std::remove(path.c_str());
   }
+}
+
+// Both loaders parse the container with one function, so on any v3 file
+// the copying loader accepts exactly when the mapper does, and a refusal
+// carries the same diagnostic from both. Inputs: every truncation of
+// v3-hazard.snap, and every single-byte flip of every section payload with
+// that section's CRC re-stamped, so the flip reaches the payload checks
+// (meta padding, the flat blob's validator, the hazard section).
+TEST(SnapshotV3, LoadersAgreeOnEveryContainer) {
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  const auto agree = [&](const std::string& bytes, const std::string& what) {
+    const std::string path = write_temp(bytes, "v3_agree.snap");
+    std::string load_error;
+    std::string map_error;
+    std::istringstream in(bytes);
+    const bool loaded = load_snapshot(in, &load_error).has_value();
+    const bool mapped = MappedSnapshot::open(path, &map_error).has_value();
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded, mapped) << what << ": loader \"" << load_error
+                              << "\", mapper \"" << map_error << "\"";
+    EXPECT_EQ(load_error, map_error) << what;
+    ++(loaded ? accepted : refused);
+  };
+
+  // The committed reproducer: section 8's metric count zeroed, CRC valid.
+  const std::string reproducer =
+      testfx::corpus_bytes("snapshot/regress-mapper-skips-hazard-section.snap");
+  agree(reproducer, "reproducer");
+  std::istringstream reproducer_in(reproducer);
+  std::string error;
+  EXPECT_FALSE(load_snapshot(reproducer_in, &error).has_value());
+  EXPECT_NE(error.find("section 8"), std::string::npos) << error;
+
+  const std::string good = testfx::corpus_bytes("snapshot/v3-hazard.snap");
+  for (std::size_t cut = 0; cut < good.size(); ++cut)
+    agree(good.substr(0, cut), "truncated to " + std::to_string(cut));
+  const auto le_at = [&](std::size_t at, std::size_t width) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, good.data() + at, width);
+    return static_cast<std::size_t>(value);
+  };
+  const std::size_t section_count = le_at(8, 4);
+  ASSERT_EQ(section_count, 3u);  // meta, flat fabric, hazard
+  for (std::size_t s = 0; s < section_count; ++s) {
+    const std::size_t entry = 12 + s * 24;
+    const std::size_t offset = le_at(entry + 4, 8);
+    const std::size_t size = le_at(entry + 12, 8);
+    for (std::size_t at = offset; at < offset + size; ++at) {
+      std::string bytes = good;
+      bytes[at] = static_cast<char>(bytes[at] ^ 0x20);
+      const std::uint32_t crc = snapshot_crc32(
+          reinterpret_cast<const unsigned char*>(bytes.data()) + offset, size);
+      std::memcpy(bytes.data() + entry + 20, &crc, sizeof(crc));
+      agree(bytes, "section " + std::to_string(le_at(entry, 4)) +
+                       " flip at byte " + std::to_string(at));
+    }
+  }
+  // Both outcomes occur, so the sweep compares acceptance as well as
+  // diagnostics.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(SnapshotV3, MappedOpenRejectsEveryTruncation) {
